@@ -12,7 +12,7 @@ The Euclidean group acts on each algebra by sandwiching with versors
   where the algebra represents them, and the mirror generator,
 * random group elements and plane-built Euclidean motions whose versor and
   3x3 affine action match by construction,
-* Kronecker-product constraint rows for the equivariant-map solver.
+* Kronecker-product constraint terms and rows for the equivariant-map solver.
 
 Group tags: "se3" = orientation preserving (no mirror constraint), "e3"
 adds the mirror.  For the Euclidean algebra translations act trivially, so
@@ -49,6 +49,7 @@ __all__ = [
     "random_motion",
     "RepMatrix",
     "constraint_rows",
+    "constraint_terms",
 ]
 
 GROUPS = ("se3", "e3")
@@ -254,10 +255,17 @@ class RepMatrix:
         self.matrix = np.asarray(self.matrix, dtype=float)
 
 
+def _kron(a, b):
+    # np.kron for two matrices, the same products without its shape handling
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def _kron_all(mats):
     out = np.eye(1)
     for m in mats:
-        out = np.kron(out, m)
+        out = _kron(out, m)
     return out
 
 
@@ -272,14 +280,10 @@ def _kron_sum(mats):
     return total
 
 
-def constraint_rows(out_rep, in_reps):
-    """Rows whose kernel is the space of equivariant linear maps.
-
-    A map phi from the tensor product of the input representations to the
-    output representation is flattened row major, phi[i, j] -> vec[i * n_in
-    + j].  For a Lie constraint the rows express d_out phi - phi d_in = 0;
-    for a finite element they express r_out phi r_in^-1 - phi = 0.  All
-    representations must share the flavor.
+def constraint_terms(out_rep, in_reps):
+    """Kronecker factor pairs [(p, q)] with constraint_rows = sum kron(p, q):
+    [(d_out, I), (-I, d_in^T)] for a Lie constraint, [(r_out, r_in^-T),
+    (-I, I)] for a finite element.  All representations share the flavor.
     """
     flavors = {out_rep.flavor} | {r.flavor for r in in_reps}
     if len(flavors) != 1:
@@ -288,7 +292,17 @@ def constraint_rows(out_rep, in_reps):
     n_in = int(np.prod([r.matrix.shape[0] for r in in_reps])) if in_reps else 1
     if out_rep.flavor == "lie":
         d_in = _kron_sum([r.matrix for r in in_reps]) if in_reps else np.zeros((1, 1))
-        return np.kron(out_rep.matrix, np.eye(n_in)) - np.kron(np.eye(n_out), d_in.T)
+        return [(out_rep.matrix, np.eye(n_in)), (-np.eye(n_out), d_in.T)]
     r_in = _kron_all([r.matrix for r in in_reps]) if in_reps else np.eye(1)
-    m = np.kron(out_rep.matrix, np.linalg.inv(r_in).T)
-    return m - np.eye(n_out * n_in)
+    return [(out_rep.matrix, np.linalg.inv(r_in).T), (-np.eye(n_out), np.eye(n_in))]
+
+
+def constraint_rows(out_rep, in_reps):
+    """Rows whose kernel is the space of equivariant linear maps.
+
+    A map phi from the tensor product of the input representations to the
+    output representation is flattened row major, phi[i, j] -> vec[i * n_in
+    + j].  For a Lie constraint the rows express d_out phi - phi d_in = 0;
+    for a finite element they express r_out phi r_in^-1 - phi = 0.
+    """
+    return sum(_kron(p, q) for p, q in constraint_terms(out_rep, in_reps))

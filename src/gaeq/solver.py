@@ -15,11 +15,13 @@ Three cooperating pieces:
   compares the reachable span against the full multilinear null space,
   grade slice by grade slice.
 
-Multilinear solving always works grade slice by grade slice; the full
-tensor space is never materialized.  Slices are dispatched to tiers by the
-flattened map size: an explicit stacked singular value decomposition while
-it is small, a Gram-matrix eigendecomposition beyond that, and a
-matrix-free block eigensolver for the largest.  Slices whose flattened map
+Solving always works grade slice by grade slice; the full tensor space is
+never materialized.  One constraint builder, groups.constraint_terms, feeds
+the tiers, which are picked by the flattened map size: a stacked singular
+value decomposition while it is small, a Gram matrix beyond that whose
+null dimension comes from two inertia counts (no eigendecomposition), and a
+matrix-free block eigensolver for the largest.  The linear basis is solved
+block by block, as the (d+1)^2 arity-1 slices.  Slices whose flattened map
 exceeds the entry cap raise SliceTooLargeError.  GAEQ_THREADS caps the
 worker threads used for independent slices.
 """
@@ -31,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from gaeq.algebra import get_algebra, left_mult_matrix, wedge
@@ -39,6 +41,7 @@ from gaeq.groups import (
     GROUPS,
     RepMatrix,
     constraint_rows,
+    constraint_terms,
     drho,
     lie_generators,
     mirror_versor,
@@ -144,28 +147,21 @@ def _rank_from_spectrum(s, rel_tol, squared=False):
     return rank
 
 
-def _nullspace_dense(stack, rel_tol=1e-10, want_basis=False):
-    """(dim, orthonormal basis rows or None, spectrum) of ker(stack)."""
+def _nullspace_dense(stack, rel_tol=1e-10):
+    """Dimension of ker(stack)."""
     m, n = stack.shape
     if m < n:
         stack = np.vstack([stack, np.zeros((n - m, n))])
-    if want_basis:
-        _, s, vt = np.linalg.svd(stack, full_matrices=False)
-    else:
-        s = np.linalg.svd(stack, compute_uv=False)
-        vt = None
-    rank = _rank_from_spectrum(s, rel_tol)
-    basis = vt[rank:] if want_basis else None
-    return n - rank, basis, s
+    s = np.linalg.svd(stack, compute_uv=False)
+    return n - _rank_from_spectrum(s, rel_tol)
 
 
 def _reduce_rows(rows, rel_tol=1e-10, abs_tol=0.0):
     """Orthonormal row basis of the row span, rank cut at rel_tol.
 
-    abs_tol guards extraction of sub-blocks from larger solved objects: a
-    block that is exactly zero for every true solution still carries
-    ~1e-16 solver noise, and a purely relative cut would promote that
-    noise to a fake basis.
+    abs_tol is an absolute floor under the relative cut, for rows whose
+    true directions are O(1) but which also carry cancellation residue: a
+    purely relative cut would promote that residue to a fake basis.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.size == 0 or rows.shape[0] == 0:
@@ -183,7 +179,7 @@ _BLOCK_CACHE = {}
 
 
 def _generator_blocks(alg, group):
-    """[(flavor, full matrix, per-grade diagonal blocks)] per generator.
+    """[(flavor, per-grade diagonal blocks)] per generator.
 
     Every constraint generator acts within each grade (checked), so
     grade-sliced solving only needs the diagonal blocks.
@@ -209,7 +205,7 @@ def _generator_blocks(alg, group):
             raise AssertionError(
                 f"constraint generator mixes grades in {alg.name} ({flavor})"
             )
-        out.append((flavor, m, blocks))
+        out.append((flavor, blocks))
     _BLOCK_CACHE[key] = out
     return out
 
@@ -230,24 +226,54 @@ class LinearMapBasis:
         return self.maps.shape[0]
 
 
+def _linear_slice_svds(alg, group):
+    """({(output grade, input grade): (s, vt)}, combined descending spectrum)
+    of the (d+1)^2 arity-1 slices.  Generators preserve grade, so the full
+    constraint stack is block diagonal over them up to permutations."""
+    svds = {}
+    for go in range(alg.n + 1):
+        for gi in range(alg.n + 1):
+            stack = _slice_stack(alg, group, GradeSlice((gi,), go))
+            _, s, vt = np.linalg.svd(stack, full_matrices=False)
+            svds[(go, gi)] = (s, vt)
+    spectrum = np.sort(np.concatenate([s for s, _ in svds.values()]))[::-1]
+    return svds, spectrum
+
+
+def _linear_blocks(alg, group, rel_tol):
+    """({(go, gi): orthonormal (k, n_go, n_gi) kernel basis}, full maps).
+
+    Only blocks with a non-empty kernel are kept.  The rank cut is taken
+    once, on the combined spectrum, relative to its largest value.
+    """
+    svds, spectrum = _linear_slice_svds(alg, group)
+    rank = _rank_from_spectrum(spectrum, rel_tol)
+    smallest_kept = spectrum[rank - 1] if rank else np.inf
+    blocks = {}
+    maps = [np.zeros((0, alg.size, alg.size))]
+    for (go, gi), (s, vt) in svds.items():
+        kernel = vt[np.count_nonzero(s >= smallest_kept) :]
+        if kernel.shape[0]:
+            io, ii = alg.grade_indices(go), alg.grade_indices(gi)
+            blocks[(go, gi)] = kernel.reshape(-1, len(io), len(ii))
+            maps.append(np.zeros((kernel.shape[0], alg.size, alg.size)))
+            maps[-1][:, io[:, None], ii] = blocks[(go, gi)]
+    maps = np.concatenate(maps)
+    _spot_check_random_generator(alg, maps.reshape(maps.shape[0], -1))
+    return blocks, maps
+
+
 def solve_linear_basis(algebra, group="e3", rel_tol=1e-10):
     """All equivariant linear maps on the full coefficient space.
 
     Stacks one commutation constraint per infinitesimal generator and, for
     the mirror-including group, one invariance constraint for the mirror
-    versor, then takes the kernel by singular value decomposition.
+    versor, then takes the kernel by singular value decomposition, grade
+    block by grade block: each map lies on one (output, input) grade block.
     """
     alg = _algebra(algebra)
     _check_group(group)
-    gens = _generator_blocks(alg, group)
-    rows = []
-    for flavor, m, _ in gens:
-        rep = RepMatrix(m, flavor)
-        rows.append(constraint_rows(rep, [rep]))
-    _, basis, _ = _nullspace_dense(np.vstack(rows), rel_tol, want_basis=True)
-    maps = basis.reshape(-1, alg.size, alg.size)
-    _spot_check_random_generator(alg, basis)
-    return LinearMapBasis(alg.name, group, maps)
+    return LinearMapBasis(alg.name, group, _linear_blocks(alg, group, rel_tol)[1])
 
 
 def linear_constraint_spectrum(algebra, group="e3"):
@@ -259,11 +285,7 @@ def linear_constraint_spectrum(algebra, group="e3"):
     """
     alg = _algebra(algebra)
     _check_group(group)
-    rows = [
-        constraint_rows(RepMatrix(m, flavor), [RepMatrix(m, flavor)])
-        for flavor, m, _ in _generator_blocks(alg, group)
-    ]
-    return np.linalg.svd(np.vstack(rows), compute_uv=False)
+    return _linear_slice_svds(alg, group)[1]
 
 
 def _spot_check_random_generator(alg, basis_flat):
@@ -446,73 +468,45 @@ class GradeSlice:
         return ins, len(alg.grade_indices(self.output_grade))
 
 
-def _kron_sum_blocks(blocks):
-    dims = [b.shape[0] for b in blocks]
-    n = int(np.prod(dims))
-    total = np.zeros((n, n))
-    for j, b in enumerate(blocks):
-        factors = [np.eye(d) for d in dims]
-        factors[j] = b
-        acc = np.eye(1)
-        for f in factors:
-            acc = np.kron(acc, f)
-        total += acc
-    return total
-
-
-def _kron_all_blocks(blocks):
-    acc = np.eye(1)
-    for b in blocks:
-        acc = np.kron(acc, b)
-    return acc
+def _slice_reps(alg, group, gs):
+    """(output rep, input reps) of every generator restricted to a slice."""
+    return [
+        (
+            RepMatrix(blocks[gs.output_grade], flavor),
+            [RepMatrix(blocks[g], flavor) for g in gs.input_grades],
+        )
+        for flavor, blocks in _generator_blocks(alg, group)
+    ]
 
 
 def _slice_stack(alg, group, gs):
     """Dense stacked constraint matrix for one grade slice."""
-    rows = []
-    for flavor, _, blocks in _generator_blocks(alg, group):
-        out_rep = RepMatrix(blocks[gs.output_grade], flavor)
-        in_reps = [RepMatrix(blocks[g], flavor) for g in gs.input_grades]
-        rows.append(constraint_rows(out_rep, in_reps))
-    return np.vstack(rows)
-
-
-def _orthogonal_inv(m):
-    if np.abs(m.T @ m - np.eye(m.shape[0])).max() < 1e-12:
-        return m.T
-    return np.linalg.inv(m)
+    return np.vstack(
+        [constraint_rows(out, ins) for out, ins in _slice_reps(alg, group, gs)]
+    )
 
 
 def _slice_gram(alg, group, gs):
-    """Gram matrix of the stacked slice constraints, built term by term."""
+    """Gram matrix of the stacked slice constraints: per generator, the
+    sum of kron(p_s^T p_t, q_s^T q_t) over pairs of its Kronecker terms,
+    added block by block so that no vec x vec temporary is made."""
     ins, n_out = gs.subspace_dims(alg)
     n_in = int(np.prod(ins))
-    vec = n_out * n_in
-    g = np.zeros((vec, vec))
-    eye_in = np.eye(n_in)
-    eye_out = np.eye(n_out)
-    for flavor, _, blocks in _generator_blocks(alg, group):
-        a = blocks[gs.output_grade]
-        in_blocks = [blocks[k] for k in gs.input_grades]
-        if flavor == "lie":
-            # K = kron(a, I) - kron(I, b) with b the transposed kron sum
-            b = _kron_sum_blocks(in_blocks).T
-            g += np.kron(a.T @ a, eye_in)
-            g += np.kron(eye_out, b.T @ b)
-            g -= np.kron(a.T, b)
-            g -= np.kron(a, b.T)
-        else:
-            s = _orthogonal_inv(_kron_all_blocks(in_blocks)).T
-            q_small = a.T @ a
-            g += np.kron(q_small, s.T @ s)
-            g -= np.kron(a.T, s.T)
-            g -= np.kron(a, s)
-            g += np.eye(vec)
+    g = np.zeros((n_out * n_in, n_out * n_in))
+    g4 = g.reshape(n_out, n_in, n_out, n_in)
+    for out_rep, in_reps in _slice_reps(alg, group, gs):
+        terms = constraint_terms(out_rep, in_reps)
+        for (p_s, q_s), (p_t, q_t) in itertools.product(terms, repeat=2):
+            pp = p_s.T @ p_t
+            qq = q_s.T @ q_t
+            for i, k in zip(*np.nonzero(pp)):
+                g4[i, :, k, :] += pp[i, k] * qq
     return g
 
 
 class _SliceOperator:
-    """Matrix-free Gram operator of the stacked slice constraints."""
+    """Matrix-free Gram operator of the stacked slice constraints, applied
+    axis by axis; the transposed constraint transposes every factor."""
 
     def __init__(self, alg, group, gs):
         ins, n_out = gs.subspace_dims(alg)
@@ -520,38 +514,27 @@ class _SliceOperator:
         self.n_out = n_out
         self.vec = n_out * int(np.prod(ins))
         self.terms = []
-        for flavor, _, blocks in _generator_blocks(alg, group):
-            a = blocks[gs.output_grade]
+        for flavor, blocks in _generator_blocks(alg, group):
             in_blocks = [blocks[k] for k in gs.input_grades]
             if flavor == "group":
-                in_blocks = [_orthogonal_inv(b) for b in in_blocks]
-            self.terms.append((flavor, a, in_blocks))
+                in_blocks = [np.linalg.inv(b) for b in in_blocks]
+            self.terms.append(
+                (flavor, blocks[gs.output_grade], [b.T for b in in_blocks])
+            )
 
     def _apply_axis(self, t, m, axis):
         # contract matrix m into the given tensor axis of t
         moved = np.moveaxis(t, axis, -1)
         return np.moveaxis(moved @ m.T, -1, axis)
 
-    def _constraint(self, flavor, a, in_blocks, t):
-        if flavor == "lie":
-            out = self._apply_axis(t, a, 0)
-            for j, b in enumerate(in_blocks):
-                out -= self._apply_axis(t, b.T, 1 + j)
-            return out
+    def _constraint(self, flavor, a, factors, t):
         out = self._apply_axis(t, a, 0)
-        for j, binv in enumerate(in_blocks):
-            out = self._apply_axis(out, binv.T, 1 + j)
-        return out - t
-
-    def _constraint_t(self, flavor, a, in_blocks, t):
         if flavor == "lie":
-            out = self._apply_axis(t, a.T, 0)
-            for j, b in enumerate(in_blocks):
-                out -= self._apply_axis(t, b, 1 + j)
+            for j, f in enumerate(factors):
+                out -= self._apply_axis(t, f, 1 + j)
             return out
-        out = self._apply_axis(t, a.T, 0)
-        for j, binv in enumerate(in_blocks):
-            out = self._apply_axis(out, binv, 1 + j)
+        for j, f in enumerate(factors):
+            out = self._apply_axis(out, f, 1 + j)
         return out - t
 
     def matmat(self, v):
@@ -561,9 +544,9 @@ class _SliceOperator:
         t = v.T.reshape((cols, self.n_out) + self.in_dims)
         t = np.moveaxis(t, 0, -1)  # (n_out, *in_dims, cols)
         acc = np.zeros_like(t)
-        for flavor, a, in_blocks in self.terms:
-            k = self._constraint(flavor, a, in_blocks, t)
-            acc += self._constraint_t(flavor, a, in_blocks, k)
+        for flavor, a, factors in self.terms:
+            k = self._constraint(flavor, a, factors, t)
+            acc += self._constraint(flavor, a.T, [f.T for f in factors], k)
         acc = np.moveaxis(acc, -1, 0).reshape(cols, self.vec)
         return acc.T
 
@@ -619,26 +602,32 @@ _LAMBDA_REL_TOL = 1e-10  # on the squared spectrum; singular-value scale 1e-5
 def _inertia_below(g, shift):
     """Count of eigenvalues of the symmetric matrix g strictly below shift.
 
-    Sylvester inertia of the shifted matrix via a symmetric indefinite
-    factorization: every 2x2 pivot block carries one eigenvalue of each
-    sign unless its determinant says otherwise.
+    Sylvester inertia of the shifted matrix, read off the packed factor of
+    a symmetric indefinite factorization: a negative pivot index opens a
+    2x2 block, which carries one eigenvalue of each sign unless its
+    determinant says otherwise.
     """
-    a = g.copy()
+    a = np.array(g, order="F")
     a[np.diag_indices_from(a)] -= shift
-    _, d, _ = scipy.linalg.ldl(a, overwrite_a=True, check_finite=False)
+    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(a.shape[0], lower=1)
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(
+        a, lower=1, lwork=int(lwork), overwrite_a=1
+    )
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal value in argument {-info}")
     neg = 0
     i = 0
-    n = d.shape[0]
+    n = ldu.shape[0]
     while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            det = d[i, i] * d[i + 1, i + 1] - d[i + 1, i] ** 2
+        if ipiv[i] < 0:
+            det = ldu[i, i] * ldu[i + 1, i + 1] - ldu[i + 1, i] ** 2
             if det < 0.0:
                 neg += 1
-            elif d[i, i] < 0.0:
+            elif ldu[i, i] < 0.0:
                 neg += 2
             i += 2
         else:
-            if d[i, i] < 0.0:
+            if ldu[i, i] < 0.0:
                 neg += 1
             i += 1
     return neg
@@ -712,10 +701,7 @@ def solve_multilinear_dim(
         else:
             method = "iterative"
     if method == "dense":
-        dim, _, _ = _nullspace_dense(
-            _slice_stack(alg, group, grade_slice), rel_tol
-        )
-        return dim
+        return _nullspace_dense(_slice_stack(alg, group, grade_slice), rel_tol)
     if method == "gram":
         g = _slice_gram(alg, group, grade_slice)
         return _gram_null_count(g, _LAMBDA_REL_TOL, context=repr(grade_slice))
@@ -786,22 +772,7 @@ class _SpanBuilder:
         self.abs_tol = 1e-10
         self.grades = range(alg.n + 1)
         self.grade_idx = [alg.grade_indices(k) for k in self.grades]
-        basis = solve_linear_basis(alg, group)
-        self.lin = {}
-        for go in self.grades:
-            for gi in self.grades:
-                sub = basis.maps[
-                    :, self.grade_idx[go][:, None], self.grade_idx[gi][None, :]
-                ]
-                # the basis maps have unit Frobenius norm, so anything below
-                # the absolute floor is solver noise in a truly zero block
-                red = _reduce_rows(
-                    sub.reshape(sub.shape[0], -1), rel_tol, abs_tol=self.abs_tol
-                )
-                if red.shape[0]:
-                    self.lin[(go, gi)] = red.reshape(
-                        -1, len(self.grade_idx[go]), len(self.grade_idx[gi])
-                    )
+        self.lin = _linear_blocks(alg, group, rel_tol)[0]
         tensors = [alg.gp_tensor]
         if with_join:
             tensors.append(alg.join_tensor)

@@ -7,6 +7,7 @@ from gaeq.groups import (
     EuclideanMotion,
     RepMatrix,
     Versor,
+    _kron,
     constraint_rows,
     drho,
     generators,
@@ -188,6 +189,13 @@ def test_constraint_rows_trivial(rng):
     np.testing.assert_array_equal(out, np.zeros((16, 16)))
     zero = RepMatrix(np.zeros((4, 4)), "lie")
     np.testing.assert_array_equal(constraint_rows(zero, [zero]), np.zeros((16, 16)))
+
+
+def test_kron_matches_numpy(rng):
+    for sa, sb in (((3, 4), (5, 2)), ((1, 1), (7, 7)), ((10, 10), (1, 1))):
+        a = rng.standard_normal(sa)
+        b = rng.standard_normal(sb)
+        np.testing.assert_array_equal(_kron(a, b), np.kron(a, b))
 
 
 def test_constraint_rows_rejects_mixed_flavor():

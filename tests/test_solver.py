@@ -3,18 +3,32 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from gaeq.algebra import get_algebra, inner, left_mult_matrix
 from gaeq.embeddings import embed_point_pga
-from gaeq.groups import random_group_element, rho
+from gaeq.groups import (
+    RepMatrix,
+    constraint_rows,
+    drho,
+    lie_generators,
+    mirror_versor,
+    random_group_element,
+    rho,
+)
 from gaeq.solver import (
     GradeSlice,
+    _inertia_below,
+    _slice_gram,
+    _slice_stack,
+    _SliceOperator,
     SliceTooLargeError,
     algebra_span_dim,
     closed_form_basis,
     closed_form_maps,
     equivariant_map_family,
     identity_coefficients,
+    linear_constraint_spectrum,
     pseudoscalar_maps,
     solve_linear_basis,
     solve_multilinear_dim,
@@ -119,6 +133,32 @@ def test_e3_span_inside_se3_span(any_algebra):
         assert span_residual(se3, m) < 1e-8
 
 
+def full_constraint_stack(alg, group):
+    """The stacked constraints on the full 2^d x 2^d map, as one matrix."""
+    reps = [RepMatrix(drho(alg, x), "lie") for x in lie_generators(alg)]
+    if group == "e3":
+        reps.append(RepMatrix(rho(alg, mirror_versor(alg)), "group"))
+    return np.vstack([constraint_rows(r, [r]) for r in reps])
+
+
+@pytest.mark.parametrize("group", ["e3", "se3"])
+def test_linear_spectrum_matches_full_stack(any_algebra, group):
+    # the grade-block spectrum is the spectrum of the full stacked matrix
+    want = np.linalg.svd(full_constraint_stack(any_algebra, group), compute_uv=False)
+    got = linear_constraint_spectrum(any_algebra, group)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * want[0]
+
+
+@pytest.mark.parametrize("group", ["e3", "se3"])
+def test_solved_maps_sit_on_single_grade_blocks(any_algebra, group):
+    grades = any_algebra.grades
+    for m in solve_linear_basis(any_algebra, group).maps:
+        rows, cols = np.nonzero(m)
+        blocks = set(zip(grades[rows], grades[cols]))
+        assert len(blocks) == 1, blocks
+
+
 def test_solve_deterministic(pga):
     a = solve_linear_basis(pga, "se3")
     b = solve_linear_basis(pga, "se3")
@@ -194,13 +234,38 @@ def test_entry_cap_raises(cga):
     assert "1000" in str(exc.value)
 
 
-def test_method_tiers_agree(cga):
+@pytest.mark.parametrize("group", ["se3", "e3"])
+def test_method_tiers_agree(cga, group):
+    # e3 adds the mirror, a group-flavor constraint
     gs = GradeSlice((2, 1), 2)  # 500 flattened entries
     dims = {
-        method: solve_multilinear_dim(cga, "se3", gs, method=method)
+        method: solve_multilinear_dim(cga, group, gs, method=method)
         for method in ("dense", "gram", "iterative")
     }
     assert dims["dense"] == dims["gram"] == dims["iterative"]
+
+
+@pytest.mark.parametrize("group", ["se3", "e3"])
+def test_gram_tiers_match_dense_stack(pga, group):
+    gs = GradeSlice((1, 2), 2)  # 144 flattened entries
+    stack = _slice_stack(pga, group, gs)
+    want = stack.T @ stack
+    op = _SliceOperator(pga, group, gs)
+    scale = np.abs(want).max()
+    for got in (_slice_gram(pga, group, gs), op.matmat(np.eye(op.vec))):
+        assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_inertia_count_matches_eigenvalues(rng):
+    # a zero diagonal forces 2x2 pivots in the indefinite factorization
+    a = rng.standard_normal((60, 60))
+    g = a + a.T
+    g[np.diag_indices_from(g)] = 0.0
+    _, ipiv, _ = scipy.linalg.lapack.dsytrf(g, lower=1)
+    assert (ipiv < 0).any()
+    eig = np.linalg.eigvalsh(g)
+    for shift in (-1.0, 0.0, 0.5, 3.0):
+        assert _inertia_below(g, shift) == np.count_nonzero(eig < shift)
 
 
 def test_multilinear_deterministic(cga):
