@@ -226,14 +226,39 @@ def get_algebra(name):
 # -- products -------------------------------------------------------------
 
 
+# rows per block of the product kernel: the (rows, n*n) outer-product
+# temporary of a cga block stays at 512 KB whatever the batch size
+_BLOCK_ROWS = 64
+
+
+def _bilinear(x, y, tensor):
+    """z_k = sum_ab tensor[a, b, k] x_a y_b, broadcasting over leading axes.
+
+    The leading axes are flattened to rows; each block of rows takes the
+    outer product of its x and y coefficients and multiplies it by the
+    (n*n, n) reshaped structure tensor.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    n = tensor.shape[-1]
+    lead = x.shape[:-1]
+    xr, yr = x.reshape(-1, n), y.reshape(-1, n)
+    flat = tensor.reshape(n * n, n)
+    out = np.empty((xr.shape[0], n))
+    for start in range(0, xr.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        outer = xr[rows, :, None] * yr[rows, None, :]
+        np.matmul(outer.reshape(-1, n * n), flat, out=out[rows])
+    return out.reshape(lead + (n,))
+
+
 def geometric_product(alg, x, y):
     """Geometric product, broadcasting over leading axes."""
-    return np.einsum("...a,...b,abk->...k", x, y, alg.gp_tensor)
+    return _bilinear(x, y, alg.gp_tensor)
 
 
 def wedge(alg, x, y):
     """Outer product: the grade k+l part of the product of k and l vectors."""
-    return np.einsum("...a,...b,abk->...k", x, y, alg.wedge_tensor)
+    return _bilinear(x, y, alg.wedge_tensor)
 
 
 def join(alg, x, y):
@@ -244,7 +269,7 @@ def join(alg, x, y):
     """
     if alg.join_tensor is None:
         raise ValueError(f"join is not defined for algebra {alg.name!r}")
-    return np.einsum("...a,...b,abk->...k", x, y, alg.join_tensor)
+    return _bilinear(x, y, alg.join_tensor)
 
 
 def inner(alg, x, y):
@@ -340,9 +365,9 @@ def blade_coefficient(alg, x, blade_idx):
 
 def left_mult_matrix(alg, x):
     """Matrix of y -> x y acting on coefficient vectors."""
-    return np.einsum("a,abk->kb", x, alg.gp_tensor)
+    return geometric_product(alg, x, np.eye(alg.size)).T
 
 
 def right_mult_matrix(alg, x):
     """Matrix of y -> y x acting on coefficient vectors."""
-    return np.einsum("b,abk->ka", x, alg.gp_tensor)
+    return geometric_product(alg, np.eye(alg.size), x).T

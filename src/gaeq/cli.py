@@ -314,11 +314,11 @@ DEMO_ALGEBRA = {"ega_distance": "ega", "cga_inner": "cga", "plain_inner": "pga"}
 
 def _demo_channels(variant, points):
     if variant == "ega_distance":
-        mv = np.stack([embed_point_ega(p, np.zeros(3)) for p in points])
+        mv = embed_point_ega(points, np.zeros(3))
     elif variant == "cga_inner":
-        mv = np.stack([embed_point_cga(p) for p in points])
+        mv = embed_point_cga(points)
     else:
-        mv = np.stack([embed_point_pga(p) for p in points])
+        mv = embed_point_pga(points)
     return MvChannels(DEMO_ALGEBRA[variant], mv[:, None, :])
 
 

@@ -46,8 +46,8 @@ class PointAtInfinityError(ValueError):
 
 def _check_point(p):
     p = np.asarray(p, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {p.shape}")
+    if p.ndim == 0 or p.shape[-1] != 3:
+        raise ValueError(f"expected 3-vectors on the last axis, got shape {p.shape}")
     return p
 
 
@@ -61,25 +61,29 @@ def _check_unit_normal(n):
 
 
 def embed_point_ega(p, center):
-    """Translation-gauged Euclidean embedding: the 1-vector p - center."""
-    p = _check_point(p)
-    center = _check_point(center)
-    alg = get_algebra("ega")
-    out = np.zeros(alg.size)
-    out[[1, 2, 4]] = p - center
+    """Translation-gauged Euclidean embedding: the 1-vector p - center.
+
+    p and center broadcast over their leading axes.
+    """
+    rel = _check_point(p) - _check_point(center)
+    out = np.zeros(rel.shape[:-1] + (get_algebra("ega").size,))
+    out[..., [1, 2, 4]] = rel
     return out
 
 
 def embed_point_pga(p):
-    """Projective trivector for a finite point, e123 coefficient one."""
+    """Projective trivector for a finite point, e123 coefficient one.
+
+    Points broadcast over their leading axes, here and in embed_point_cga.
+    """
     p = _check_point(p)
     alg = get_algebra("pga")
-    out = np.zeros(alg.size)
+    out = np.zeros(p.shape[:-1] + (alg.size,))
     # x1 e032 + x2 e013 + x3 e021 + e123 on canonical ascending blades
-    out[alg.blade_index("e023")] = -p[0]
-    out[alg.blade_index("e013")] = p[1]
-    out[alg.blade_index("e012")] = -p[2]
-    out[alg.blade_index("e123")] = 1.0
+    out[..., alg.blade_index("e023")] = -p[..., 0]
+    out[..., alg.blade_index("e013")] = p[..., 1]
+    out[..., alg.blade_index("e012")] = -p[..., 2]
+    out[..., alg.blade_index("e123")] = 1.0
     return out
 
 
@@ -87,9 +91,27 @@ def embed_point_cga(p):
     """Conformal null 1-vector o + p + |p|^2 inf / 2."""
     p = _check_point(p)
     alg = get_algebra("cga")
-    out = alg.origin + 0.5 * float(p @ p) * alg.infinity
-    out[[1, 2, 4]] += p
+    # a stacked (1, 3) @ (3, 1) product rounds as the single-point p @ p
+    sq = (p[..., None, :] @ p[..., :, None])[..., 0]
+    out = alg.origin + 0.5 * sq * alg.infinity
+    out[..., [1, 2, 4]] += p
     return out
+
+
+def _normalize(coords, w, m, what):
+    """coords / w, raising at the first point whose weight w underflows.
+
+    The floor is relative to each point's largest coefficient in m.
+    """
+    floor = 1e-12 * np.maximum(np.abs(m).max(axis=-1), 1e-300)
+    bad = np.abs(w) < floor
+    if np.any(bad):
+        where = ""
+        if bad.ndim:
+            first = tuple(int(i) for i in np.argwhere(bad)[0])
+            where = f"token {first[0] if len(first) == 1 else first}: "
+        raise PointAtInfinityError(where + what)
+    return coords / w[..., None]
 
 
 def extract_point(m, algebra_name):
@@ -99,30 +121,26 @@ def extract_point(m, algebra_name):
     first normalized (trivector e123 coefficient, respectively the origin
     coefficient, set to one).  For the Euclidean algebra the grade-1
     coefficients are returned as is; they are relative to whatever center
-    was used at embedding time.
+    was used at embedding time.  m may carry leading axes; a point at
+    infinity among them is reported by the index of the first one.
     """
     m = np.asarray(m, dtype=float)
     alg = get_algebra(algebra_name)
-    scale_floor = 1e-12 * max(np.abs(m).max(), 1e-300)
     if algebra_name == "ega":
-        return m[[1, 2, 4]].copy()
+        return m[..., [1, 2, 4]]
     if algebra_name == "pga":
-        w = m[alg.blade_index("e123")]
-        if abs(w) < scale_floor:
-            raise PointAtInfinityError("projective point has vanishing e123 part")
-        return np.array(
+        coords = np.stack(
             [
-                -m[alg.blade_index("e023")],
-                m[alg.blade_index("e013")],
-                -m[alg.blade_index("e012")],
-            ]
-        ) / w
-    if algebra_name == "cga":
-        w = -inner(alg, m, alg.infinity)
-        if abs(w) < scale_floor:
-            raise PointAtInfinityError("conformal point has vanishing origin part")
-        return m[[1, 2, 4]] / w
-    raise ValueError(f"unknown algebra {algebra_name!r}")
+                -m[..., alg.blade_index("e023")],
+                m[..., alg.blade_index("e013")],
+                -m[..., alg.blade_index("e012")],
+            ],
+            axis=-1,
+        )
+        w = m[..., alg.blade_index("e123")]
+        return _normalize(coords, w, m, "projective point has vanishing e123 part")
+    w = -inner(alg, m, alg.infinity)
+    return _normalize(m[..., [1, 2, 4]], w, m, "conformal point has vanishing origin part")
 
 
 def embed_plane_pga(n, delta):

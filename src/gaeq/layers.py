@@ -18,7 +18,7 @@ from gaeq.algebra import (
     inner,
     join,
 )
-from gaeq.embeddings import PointAtInfinityError, pga_point_to_cga_point
+from gaeq.embeddings import PointAtInfinityError, extract_point
 from gaeq.groups import rho
 from gaeq.solver import equivariant_map_family, identity_coefficients
 
@@ -150,8 +150,12 @@ class EquiLinear:
                 f"expected {self.mv_in} mv / {self.scalar_in} scalar channels, "
                 f"got {x.channels} / {x.scalar_channels}"
             )
-        mapped = np.einsum("bnm,tcm->tcbn", self.family, x.mv)
-        mv = np.einsum("ocb,tcbn->ton", self.weight, mapped)
+        # fold weight and family into one (C*n, O*n) matrix on every call:
+        # callers edit weight in place, so a kept fold could go stale
+        n = x.algebra.size
+        fold = np.tensordot(self.weight, self.family, ([2], [0])).transpose(1, 3, 0, 2)
+        fold = fold.reshape(self.mv_in * n, self.mv_out * n)
+        mv = (x.mv.reshape(x.tokens, self.mv_in * n) @ fold).reshape(x.tokens, self.mv_out, n)
         mv[:, :, 0] += x.scalars @ self.scalar_to_mv.T
         scalars = x.scalars @ self.scalar_weight.T + x.mv[:, :, 0] @ self.mv_to_scalar.T
         return MvChannels(x.algebra, mv, scalars)
@@ -357,9 +361,13 @@ def attn_logits(variant, q, k, point_channels=()):
     feature count.  ega_distance reserves the designated point channels
     for an exact negative squared distance term built from the
     (norm^2, 2q, 1) / (-1, k, -norm^2) triple, unscaled so the identity
-    is exact.  ip_pga_to_cga adds conformal inner products of the
-    designated projective point channels after mapping them to conformal
-    points.
+    is exact.  ip_pga_to_cga adds the conformal inner products of the
+    designated projective point channels mapped to conformal points.  For
+    the null vectors X = o + x + |x|^2 inf / 2 and Y of y that product is
+    <X, Y> = x . y - |x|^2 / 2 - |y|^2 / 2 = -|x - y|^2 / 2, and it is summed
+    in that form from the coordinate differences: projective points with
+    small e123 weights normalize to large coordinates, and the expanded form
+    would cancel terms of size |x|^2 to leave one of size |x - y|^2.
     """
     alg = q.algebra
     _check_variant(variant, alg)
@@ -394,20 +402,16 @@ def attn_logits(variant, q, k, point_channels=()):
     # ip_pga_to_cga
     if not point_channels:
         raise ValueError("ip_pga_to_cga needs designated point channels")
-    cga = get_algebra("cga")
     logits = _pair_inners(alg, q, k) + q.scalars @ k.scalars.T
     for c in point_channels:
-        qp = np.stack([_bridge_point(m, t, c) for t, m in enumerate(q.mv[:, c])])
-        kp = np.stack([_bridge_point(m, t, c) for t, m in enumerate(k.mv[:, c])])
-        logits += (qp * cga.inner_weights) @ kp.T
+        try:
+            qp, kp = extract_point(q.mv[:, c], "pga"), extract_point(k.mv[:, c], "pga")
+        except PointAtInfinityError as exc:
+            raise PointAtInfinityError(f"channel {c}, {exc}") from exc
+        for qx, kx in zip(qp.T, kp.T):
+            d = np.subtract.outer(qx, kx)
+            logits -= 0.5 * d * d
     return logits / np.sqrt(scale_dim + len(point_channels))
-
-
-def _bridge_point(m, token, channel):
-    try:
-        return pga_point_to_cga_point(m)
-    except PointAtInfinityError as exc:
-        raise PointAtInfinityError(f"token {token}, channel {channel}: {exc}") from exc
 
 
 def _softmax_rows(logits):
@@ -421,6 +425,7 @@ def attention(variant, q, k, v, point_channels=()):
     if k.tokens != v.tokens:
         raise ValueError("key and value token counts differ")
     weights = _softmax_rows(attn_logits(variant, q, k, point_channels))
-    mv = np.einsum("qk,kcn->qcn", weights, v.mv)
+    c, n = v.channels, v.algebra.size
+    mv = (weights @ v.mv.reshape(v.tokens, c * n)).reshape(q.tokens, c, n)
     scalars = weights @ v.scalars
     return MvChannels(v.algebra, mv, scalars)

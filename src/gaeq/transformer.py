@@ -24,7 +24,6 @@ import numpy as np
 
 from gaeq.algebra import get_algebra
 from gaeq.embeddings import (
-    PointAtInfinityError,
     embed_point_cga,
     embed_point_ega,
     embed_point_pga,
@@ -335,10 +334,9 @@ def embed_batch(model, batch):
         raise ValueError(f"need at least {n_in} multivector channels for this batch")
     t = batch.tokens
     mv = np.zeros((t, cfg.mv_channels, model.algebra.size))
-    for i in range(t):
-        mv[i, 0] = _embed_point(cfg, batch.points[i], batch.center)
-        if batch.vectors is not None:
-            mv[i, 1] = _embed_point(cfg, batch.points[i] + batch.vectors[i], batch.center)
+    mv[:, 0] = _embed_point(cfg, batch.points, batch.center)
+    if batch.vectors is not None:
+        mv[:, 1] = _embed_point(cfg, batch.points + batch.vectors, batch.center)
     scalars = np.zeros((t, cfg.scalar_channels))
     if batch.scalars is not None:
         width = batch.scalars.shape[1]
@@ -361,12 +359,7 @@ def forward(model, batch, return_trace=False):
         if return_trace:
             trace.append(float(np.abs(x.mv).max()))
     out = model.readout.apply(x)
-    points = np.empty((batch.tokens, 3))
-    for i in range(batch.tokens):
-        try:
-            points[i] = extract_point(out.mv[i, 0], model.cfg.algebra_name)
-        except PointAtInfinityError as exc:
-            raise PointAtInfinityError(f"token {i}: {exc}") from exc
+    points = extract_point(out.mv[:, 0], model.cfg.algebra_name)
     if model.cfg.algebra_name == "ega":
         points = points + batch.center
     if return_trace:
@@ -394,13 +387,8 @@ def _transform_batch(model, batch, g):
         r = rho(model.algebra, g)
 
         def mover(pts):
-            out = np.empty_like(pts)
-            for i, p in enumerate(np.atleast_2d(pts)):
-                m = r @ _embed_point(cfg, p, batch.center)
-                out[i] = extract_point(m, cfg.algebra_name)
-                if cfg.algebra_name == "ega":
-                    out[i] += batch.center
-            return out
+            out = extract_point(_embed_point(cfg, pts, batch.center) @ r.T, cfg.algebra_name)
+            return out + batch.center if cfg.algebra_name == "ega" else out
 
         points = mover(batch.points)
         vectors = (

@@ -81,6 +81,54 @@ def brute_multivector_product(x, y, squares):
     return out
 
 
+def _generators(mask, n):
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def _mask(gens):
+    return sum(1 << g for g in gens)
+
+
+def brute_wedge(x, y, squares):
+    """Outer product: the blade products of every pair sharing no generator."""
+    n = len(squares)
+    out = np.zeros(1 << n)
+    for a in range(1 << n):
+        gens_a = _generators(a, n)
+        for b in range(1 << n):
+            gens_b = _generators(b, n)
+            if set(gens_a) & set(gens_b):
+                continue
+            sign, gens_out = brute_blade_product(gens_a, gens_b, squares)
+            out[_mask(gens_out)] += sign * x[a] * y[b]
+    return out
+
+
+def _right_complement(x, n, inverse=False):
+    """rc(e_a) = s e_rest, s chosen so that e_a ^ rc(e_a) is the pseudoscalar.
+
+    With inverse, maps e_rest back to s e_a (s is a sign, so 1/s = s).
+    """
+    out = np.zeros_like(x)
+    for a in range(1 << n):
+        gens = _generators(a, n)
+        rest = tuple(i for i in range(n) if i not in gens)
+        sign, _ = brute_blade_product(gens, rest, (1,) * n)
+        if inverse:
+            out[a] += sign * x[_mask(rest)]
+        else:
+            out[_mask(rest)] += sign * x[a]
+    return out
+
+
+def brute_join(x, y, squares):
+    """Regressive product rc^-1(rc(x) ^ rc(y)) through right complements."""
+    n = len(squares)
+    return _right_complement(
+        brute_wedge(_right_complement(x, n), _right_complement(y, n), squares), n, inverse=True
+    )
+
+
 def rotor_exp(angle_times_bivector_coeff, bivector_square):
     """Closed-form exp(c * B) for a blade B with B*B = s, s in {-1, 0, +1}.
 

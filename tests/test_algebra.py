@@ -20,7 +20,13 @@ from gaeq.algebra import (
     sandwich,
     wedge,
 )
-from oracles import GENERATOR_SQUARES, brute_multivector_product, rotor_exp
+from oracles import (
+    GENERATOR_SQUARES,
+    brute_join,
+    brute_multivector_product,
+    brute_wedge,
+    rotor_exp,
+)
 
 
 def random_mv(alg, rng, scale=1.0):
@@ -68,6 +74,40 @@ def test_product_against_brute_force_multiplier(any_algebra, rng):
         got = geometric_product(alg, x, y)
         want = brute_multivector_product(x, y, squares)
         assert np.abs(got - want).max() < 1e-12
+
+
+# (x shape, y shape) with None for the blade axis: a broadcast (T, C, n) x (n,)
+# pair, 67 rows (more than one 64-row block of the kernel, not a multiple of
+# it) and zero tokens
+BATCH_SHAPES = [
+    ((5, 3, None), (None,)),
+    ((None,), (5, 3, None)),
+    ((67, None), (67, None)),
+    ((0, 3, None), (None,)),
+]
+KERNELS = [
+    pytest.param(name, kernel, oracle, id=f"{name}-{kernel.__name__}")
+    for kernel, oracle, names in [
+        (geometric_product, brute_multivector_product, ("ega", "pga", "cga")),
+        (wedge, brute_wedge, ("ega", "pga", "cga")),
+        (join, brute_join, ("pga",)),
+    ]
+    for name in names
+]
+
+
+@pytest.mark.parametrize("shapes", BATCH_SHAPES, ids=["TCn*n", "n*TCn", "67rows", "empty"])
+@pytest.mark.parametrize("name,kernel,oracle", KERNELS)
+def test_batched_products_match_oracle(name, kernel, oracle, shapes, rng):
+    alg = get_algebra(name)
+    squares = GENERATOR_SQUARES[name]
+    x, y = (rng.uniform(-1, 1, tuple(alg.size if d is None else d for d in s)) for s in shapes)
+    got = kernel(alg, x, y)
+    xb, yb = np.broadcast_arrays(x, y)
+    assert got.shape == xb.shape
+    want = [oracle(a, b, squares) for a, b in zip(xb.reshape(-1, alg.size), yb.reshape(-1, alg.size))]
+    want = np.reshape(want, xb.shape)
+    assert np.abs(got - want).max(initial=0.0) < 1e-12
 
 
 def test_product_associative_on_blades(any_algebra):
@@ -420,3 +460,13 @@ def test_mult_matrices(any_algebra, rng):
     np.testing.assert_allclose(
         right_mult_matrix(alg, x) @ y, geometric_product(alg, y, x), atol=1e-13
     )
+
+
+def test_mult_matrices_equal_einsum_formula(any_algebra, rng):
+    # every entry is one signed coefficient of x, so the kernel-built
+    # matrices must be bit for bit the structure tensor contractions
+    alg = any_algebra
+    for _ in range(3):
+        x = rng.normal(size=alg.size)
+        assert np.array_equal(left_mult_matrix(alg, x), np.einsum("a,abk->kb", x, alg.gp_tensor))
+        assert np.array_equal(right_mult_matrix(alg, x), np.einsum("b,abk->ka", x, alg.gp_tensor))

@@ -110,6 +110,50 @@ def test_extract_infinite_pga_point_raises(pga):
         extract_point(pga.blade("e013"), "pga")
 
 
+@pytest.mark.parametrize("name", ["pga", "cga"])
+def test_batched_extract_names_first_point_at_infinity(name, rng):
+    alg = get_algebra(name)
+    m = embed(alg, rng.normal(size=(5, 3)))
+    at_infinity = alg.infinity if name == "cga" else alg.blade("e013")
+    m[3] = m[1] = at_infinity
+    with pytest.raises(PointAtInfinityError, match="token 1: "):
+        extract_point(m, name)
+    with pytest.raises(PointAtInfinityError, match=r"token \(1, 0\): "):
+        extract_point(m[:, None], name)
+
+
+# -- batched calls --------------------------------------------------------------
+
+
+def test_batched_embed_and_extract_match_per_point(any_algebra, rng):
+    # leading axes (4, 5): every point's row must be what a single call gives
+    name = any_algebra.name
+    pts = rng.normal(size=(4, 5, 3)) * rng.choice([0.1, 1.0, 10.0], size=(4, 5, 1))
+    center = rng.normal(size=3)
+    batched = embed(any_algebra, pts, center)
+    assert np.array_equal(batched, [[embed(any_algebra, p, center) for p in row] for row in pts])
+    reps = batched * rng.uniform(0.5, 2.0, size=(4, 5, 1))
+    got = extract_point(reps, name)
+    assert got.shape == pts.shape
+    assert np.array_equal(got, [[extract_point(m, name) for m in row] for row in reps])
+
+
+def test_ega_center_broadcasts_with_points(rng):
+    pts, centers = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    got = embed_point_ega(pts, centers)
+    assert np.array_equal(got, [embed_point_ega(p, c) for p, c in zip(pts, centers)])
+
+
+def test_batched_embed_rejects_bad_last_axis():
+    for embed_fn in (embed_point_pga, embed_point_cga, lambda p: embed_point_ega(p, np.zeros(3))):
+        with pytest.raises(ValueError):
+            embed_fn(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            embed_fn(np.float64(1.0))
+    with pytest.raises(ValueError):
+        embed_point_ega(np.zeros((4, 3)), np.zeros(4))
+
+
 def test_extract_unknown_algebra():
     with pytest.raises(ValueError):
         extract_point(np.zeros(8), "qga")

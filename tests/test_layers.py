@@ -5,6 +5,7 @@ import pytest
 
 from gaeq.algebra import geometric_product, get_algebra, grade_project, inner
 from gaeq.embeddings import (
+    PointAtInfinityError,
     embed_point_cga,
     embed_point_ega,
     embed_point_pga,
@@ -187,6 +188,26 @@ class TestEquiLinear:
         bad = {k: np.zeros((1, 1)) for k in lin.state()}
         with pytest.raises(ValueError):
             lin.load_state(bad)
+
+    def test_folded_apply_matches_two_einsum_formula(self, any_algebra, rng):
+        # apply folds weight and family on every call, so edits in place and
+        # load_state are both seen by the next call
+        lin = EquiLinear(any_algebra, "se3", mv_in=3, mv_out=4, scalar_in=2, scalar_out=2, rng=rng)
+        x = random_channels(any_algebra, rng, tokens=5, channels=3, scalars=2)
+
+        def gap():
+            mapped = np.einsum("bnm,tcm->tcbn", lin.family, x.mv)
+            want = np.einsum("ocb,tcbn->ton", lin.weight, mapped)
+            want[:, :, 0] += x.scalars @ lin.scalar_to_mv.T
+            return np.abs(lin.apply(x).mv - want).max() / np.abs(want).max()
+
+        assert gap() <= 1e-13
+        lin.weight[:] = rng.normal(size=lin.weight.shape)
+        assert gap() <= 1e-13
+        state = {k: v.copy() for k, v in lin.state().items()}
+        state["weight"] = rng.normal(size=lin.weight.shape)
+        lin.load_state(state)
+        assert gap() <= 1e-13
 
     def test_se3_family_is_larger(self, pga, rng):
         e3 = EquiLinear(pga, "e3", mv_in=1, mv_out=1)
@@ -510,6 +531,35 @@ class TestAttnLogits:
                     pga_point_to_cga_point(k.mv[j, 0]),
                 )
                 assert abs(logits[i, j] - (plain + bridged) * scale) < 1e-12
+
+    def test_ip_bridge_translation_invariant_far_out(self, pga, rng):
+        # e123 weights of 1e-5 to 1e-3 put the points up to 1e5 from the
+        # origin, where the expanded conformal product would cancel terms of
+        # size |x|^2 |y|^2 against a result of size |x - y|^2
+        def far_points():
+            w = 10.0 ** rng.uniform(-5, -3, size=16)
+            return rng.uniform(-1, 1, size=(16, 3)) / w[:, None], w
+
+        (qx, qw), (kx, kw) = far_points(), far_points()
+        shift = rng.uniform(-1e5, 1e5, size=3)
+
+        def logits(offset):
+            q = np.stack([embed_point_pga(p + offset) * w for p, w in zip(qx, qw)])
+            k = np.stack([embed_point_pga(p + offset) * w for p, w in zip(kx, kw)])
+            return attn_logits(
+                "ip_pga_to_cga", MvChannels(pga, q[:, None]), MvChannels(pga, k[:, None]), (0,)
+            )
+
+        base = logits(0.0)
+        assert np.abs(logits(shift) - base).max() <= 1e-12 * np.abs(base).max()
+
+    def test_ip_point_at_infinity_names_channel_and_token(self, pga, rng):
+        x = embed_points(pga, rng.normal(size=(4, 3)), embed_point_pga)
+        mv = np.concatenate([x.mv, x.mv], axis=1)
+        mv[2, 1] = pga.blade("e013")
+        x = MvChannels(pga, mv)
+        with pytest.raises(PointAtInfinityError, match="channel 1, token 2: projective"):
+            attn_logits("ip_pga_to_cga", x, x, point_channels=(0, 1))
 
     def test_ip_recovers_distances(self, pga, rng):
         # the bridged term is the conformal point pairing, so logits order

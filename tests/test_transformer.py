@@ -193,7 +193,7 @@ class TestForward:
         model.readout.weight[:] = 0.0
         model.readout.scalar_to_mv[:] = 0.0
         b = TokenBatch(rng.normal(size=(3, 3)))
-        with pytest.raises(PointAtInfinityError, match="token 0"):
+        with pytest.raises(PointAtInfinityError, match="^token 0: projective"):
             forward(model, b)
 
 
