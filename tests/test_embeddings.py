@@ -144,24 +144,18 @@ def test_ega_center_broadcasts_with_points(rng):
     assert np.array_equal(got, [embed_point_ega(p, c) for p, c in zip(pts, centers)])
 
 
-def test_batched_embed_rejects_bad_last_axis():
-    for embed_fn in (embed_point_pga, embed_point_cga, lambda p: embed_point_ega(p, np.zeros(3))):
-        with pytest.raises(ValueError):
-            embed_fn(np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            embed_fn(np.float64(1.0))
-    with pytest.raises(ValueError):
-        embed_point_ega(np.zeros((4, 3)), np.zeros(4))
-
-
 def test_extract_unknown_algebra():
     with pytest.raises(ValueError):
         extract_point(np.zeros(8), "qga")
 
 
 def test_embed_rejects_bad_shapes():
+    for embed_fn in (embed_point_pga, embed_point_cga, lambda p: embed_point_ega(p, np.zeros(3))):
+        for bad in (np.zeros(4), np.zeros((4, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                embed_fn(bad)
     with pytest.raises(ValueError):
-        embed_point_pga(np.zeros(4))
+        embed_point_ega(np.zeros((4, 3)), np.zeros(4))
     with pytest.raises(ValueError):
         embed_plane_pga(np.array([0.0, 0.0, 2.0]), 0.0)  # not unit
     with pytest.raises(ValueError):
