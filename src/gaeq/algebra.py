@@ -364,10 +364,18 @@ def blade_coefficient(alg, x, blade_idx):
 
 
 def left_mult_matrix(alg, x):
-    """Matrix of y -> x y acting on coefficient vectors."""
-    return geometric_product(alg, x, np.eye(alg.size)).T
+    """Matrix of y -> x y acting on coefficient vectors.
+
+    A signed permutation of x: entry (k, b) is x_a times the sign of
+    e_a e_b, with a = k ^ b the one blade whose product with e_b lands on
+    e_k.
+    """
+    a = alg.gp_mask
+    return np.asarray(x, dtype=float)[a] * alg.gp_sign[a, np.arange(alg.size)]
 
 
 def right_mult_matrix(alg, x):
-    """Matrix of y -> y x acting on coefficient vectors."""
-    return geometric_product(alg, np.eye(alg.size), x).T
+    """Matrix of y -> y x acting on coefficient vectors: entry (k, a) is
+    x_b times the sign of e_a e_b, with b = k ^ a."""
+    b = alg.gp_mask
+    return np.asarray(x, dtype=float)[b] * alg.gp_sign[np.arange(alg.size), b]

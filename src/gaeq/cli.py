@@ -11,7 +11,6 @@ pass/fail exit code where a check is involved:
 * norm-probe        normalization stability series as CSV
 
 Human-readable text is the default; --json switches machine output.
-The solver respects the GAEQ_THREADS environment variable.
 """
 
 import argparse

@@ -16,24 +16,25 @@ Three cooperating pieces:
   grade slice by grade slice.
 
 Solving always works grade slice by grade slice; the full tensor space is
-never materialized.  One constraint builder, groups.constraint_terms, feeds
-the tiers, which are picked by the flattened map size: a stacked singular
-value decomposition while it is small, a Gram matrix beyond that whose
-null dimension comes from two inertia counts (no eigendecomposition), and a
-matrix-free block eigensolver for the largest.  The linear basis is solved
-block by block, as the (d+1)^2 arity-1 slices.  Slices whose flattened map
-exceeds the entry cap raise SliceTooLargeError.  GAEQ_THREADS caps the
-worker threads used for independent slices.
+never materialized.  The default solve of a slice is one singular value
+decomposition in reduced coordinates: its columns are a real orthonormal
+basis of the slice's weight-0 subspace under the rotation generator e12
+(every equivariant map lies there), and its rows are the constraints of a
+generating set only (the rotation e23, the z translation, the mirror), each
+applied factor by factor to the basis tensor.  Slices beyond that tier go
+to a matrix-free block eigensolver over all generators.  method="dense"
+keeps the full stacked constraint matrix of one constraint builder,
+groups.constraint_terms, as the independent reference.  The linear basis
+is solved block by block, as the (d+1)^2 arity-1 slices.  Slices whose
+flattened map exceeds the entry cap raise SliceTooLargeError.
 """
 
+import functools
 import itertools
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 from gaeq.algebra import get_algebra, left_mult_matrix, wedge
@@ -41,7 +42,6 @@ from gaeq.groups import (
     GROUPS,
     RepMatrix,
     constraint_rows,
-    constraint_terms,
     drho,
     lie_generators,
     mirror_versor,
@@ -70,7 +70,9 @@ __all__ = [
 ]
 
 DEFAULT_ENTRY_CAP = 20_000_000
-# tier boundaries on the flattened map length
+# tier boundary on the flattened map length: reduced coordinates up to
+# _GRAM_MAX_VEC, the matrix-free eigensolver beyond.  _DENSE_MAX_VEC bounds
+# no tier any more; perfbench's tracer still reads both names.
 _DENSE_MAX_VEC = 1500
 _GRAM_MAX_VEC = 11000
 
@@ -98,13 +100,6 @@ def _algebra(algebra):
 def _check_group(group):
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}, expected one of {GROUPS}")
-
-
-def _worker_count():
-    env = os.environ.get("GAEQ_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 # -- rank decisions ------------------------------------------------------------
@@ -176,23 +171,35 @@ def _reduce_rows(rows, rel_tol=1e-10, abs_tol=0.0):
 # -- constraint generators -----------------------------------------------------
 
 _BLOCK_CACHE = {}
+# lie_generators order: rotations e12, e23, e13, then translations x, y, z
+_LIE_NAMES = ("Lz", "Lx", "Ly", "Tx", "Ty", "Tz")
+# the constraint map is a Lie algebra homomorphism, so once L_z holds, the
+# commutators of L_z, L_x and T_z give L_y, T_x and T_y for free
+_GENERATING_SET = ("Lx", "Tz", "mirror")
 
 
-def _generator_blocks(alg, group):
-    """[(flavor, per-grade diagonal blocks)] per generator.
+def _generator_blocks(alg, group, names=None):
+    """[(flavor, per-grade diagonal blocks)] per generator, all of them or
+    those whose name is in names.
 
     Every constraint generator acts within each grade (checked), so
     grade-sliced solving only needs the diagonal blocks.
     """
     key = (alg.name, group)
     cached = _BLOCK_CACHE.get(key)
-    if cached is not None:
-        return cached
-    entries = [("lie", drho(alg, x)) for x in lie_generators(alg)]
+    if cached is None:
+        cached = _BLOCK_CACHE[key] = _build_generator_blocks(alg, group)
+    return [(f, b) for name, f, b in cached if names is None or name in names]
+
+
+def _build_generator_blocks(alg, group):
+    entries = [
+        (name, "lie", drho(alg, x)) for name, x in zip(_LIE_NAMES, lie_generators(alg))
+    ]
     if group == "e3":
-        entries.append(("group", rho(alg, mirror_versor(alg))))
+        entries.append(("mirror", "group", rho(alg, mirror_versor(alg))))
     out = []
-    for flavor, m in entries:
+    for name, flavor, m in entries:
         blocks = []
         diag_mass = 0.0
         for k in range(alg.n + 1):
@@ -205,8 +212,7 @@ def _generator_blocks(alg, group):
             raise AssertionError(
                 f"constraint generator mixes grades in {alg.name} ({flavor})"
             )
-        out.append((flavor, blocks))
-    _BLOCK_CACHE[key] = out
+        out.append((name, flavor, blocks))
     return out
 
 
@@ -486,35 +492,19 @@ def _slice_stack(alg, group, gs):
     )
 
 
-def _slice_gram(alg, group, gs):
-    """Gram matrix of the stacked slice constraints: per generator, the
-    sum of kron(p_s^T p_t, q_s^T q_t) over pairs of its Kronecker terms,
-    added block by block so that no vec x vec temporary is made."""
-    ins, n_out = gs.subspace_dims(alg)
-    n_in = int(np.prod(ins))
-    g = np.zeros((n_out * n_in, n_out * n_in))
-    g4 = g.reshape(n_out, n_in, n_out, n_in)
-    for out_rep, in_reps in _slice_reps(alg, group, gs):
-        terms = constraint_terms(out_rep, in_reps)
-        for (p_s, q_s), (p_t, q_t) in itertools.product(terms, repeat=2):
-            pp = p_s.T @ p_t
-            qq = q_s.T @ q_t
-            for i, k in zip(*np.nonzero(pp)):
-                g4[i, :, k, :] += pp[i, k] * qq
-    return g
-
-
 class _SliceOperator:
-    """Matrix-free Gram operator of the stacked slice constraints, applied
-    axis by axis; the transposed constraint transposes every factor."""
+    """Slice constraints applied axis by axis to tensors shaped (n_out,
+    *in_dims, cols), never formed as a matrix; all generators, or those
+    named.  matmat applies their Gram operator, the transposed constraint
+    transposing every factor."""
 
-    def __init__(self, alg, group, gs):
+    def __init__(self, alg, group, gs, names=None):
         ins, n_out = gs.subspace_dims(alg)
         self.in_dims = ins
         self.n_out = n_out
         self.vec = n_out * int(np.prod(ins))
         self.terms = []
-        for flavor, blocks in _generator_blocks(alg, group):
+        for flavor, blocks in _generator_blocks(alg, group, names):
             in_blocks = [blocks[k] for k in gs.input_grades]
             if flavor == "group":
                 in_blocks = [np.linalg.inv(b) for b in in_blocks]
@@ -524,8 +514,7 @@ class _SliceOperator:
 
     def _apply_axis(self, t, m, axis):
         # contract matrix m into the given tensor axis of t
-        moved = np.moveaxis(t, axis, -1)
-        return np.moveaxis(moved @ m.T, -1, axis)
+        return np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
 
     def _constraint(self, flavor, a, factors, t):
         out = self._apply_axis(t, a, 0)
@@ -536,6 +525,16 @@ class _SliceOperator:
         for j, f in enumerate(factors):
             out = self._apply_axis(out, f, 1 + j)
         return out - t
+
+    def stack(self, t):
+        """The stacked constraint rows times the columns of t, as a matrix
+        with one column per column of t; rows that come out zero constrain
+        nothing and are left out."""
+        rows = []
+        for flavor, a, factors in self.terms:
+            image = self._constraint(flavor, a, factors, t).reshape(self.vec, -1)
+            rows.append(image[np.any(image, axis=1)])
+        return np.concatenate(rows)
 
     def matmat(self, v):
         # the dense eigensolver fallback probes with an integer identity
@@ -599,70 +598,58 @@ def _kernel_dim_iterative(alg, group, gs, rel_tol):
 _LAMBDA_REL_TOL = 1e-10  # on the squared spectrum; singular-value scale 1e-5
 
 
-def _inertia_below(g, shift):
-    """Count of eigenvalues of the symmetric matrix g strictly below shift.
+@functools.lru_cache(maxsize=None)
+def _lz_eigenbases(alg):
+    """Per grade, (weight, conjugate, u): u's column a is an eigenvector of
+    drho(e12) of eigenvalue 2i * weight[a], and column conjugate[a] is its
+    complex conjugate.
 
-    Sylvester inertia of the shifted matrix, read off the packed factor of
-    a symmetric indefinite factorization: a negative pivot index opens a
-    2x2 block, which carries one eigenvalue of each sign unless its
-    determinant says otherwise.
+    drho(e12) is zero on a blade holding both or neither of e1, e2 (weight
+    0, the blade itself).  It maps a blade e_a holding one of them to
+    2s e_p, its partner, and e_p to -2s e_a, so (e_a -+ i s e_p)/sqrt2 have
+    weights +-1 and are conjugate.
     """
-    a = np.array(g, order="F")
-    a[np.diag_indices_from(a)] -= shift
-    lwork, _ = scipy.linalg.lapack.dsytrf_lwork(a.shape[0], lower=1)
-    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(
-        a, lower=1, lwork=int(lwork), overwrite_a=1
-    )
-    if info < 0:
-        raise ValueError(f"dsytrf: illegal value in argument {-info}")
-    neg = 0
-    i = 0
-    n = ldu.shape[0]
-    while i < n:
-        if ipiv[i] < 0:
-            det = ldu[i, i] * ldu[i + 1, i + 1] - ldu[i + 1, i] ** 2
-            if det < 0.0:
-                neg += 1
-            elif ldu[i, i] < 0.0:
-                neg += 2
-            i += 2
-        else:
-            if ldu[i, i] < 0.0:
-                neg += 1
-            i += 1
-    return neg
+    out = []
+    for b in _generator_blocks(alg, "se3", ("Lz",))[0][1]:
+        n = b.shape[0]
+        weight, conj, u = np.zeros(n, dtype=int), np.arange(n), np.eye(n, dtype=complex)
+        for a, p in zip(*np.nonzero(b.T)):
+            if a < p:
+                weight[[a, p]], conj[[a, p]] = (1, -1), (p, a)
+                s = b[p, a] / 2.0
+                pair = np.array([[1, 1], [-1j * s, 1j * s]]) / np.sqrt(2.0)
+                u[np.ix_([a, p], [a, p])] = pair
+        if not (np.array_equal(b, -b.T) and np.allclose(b @ u, u * 2j * weight)):
+            raise AssertionError(f"unexpected drho(e12) block in {alg.name}")
+        out.append((weight, conj, u))
+    return out
 
 
-def _gram_null_count(g, rel_tol, context=""):
-    """Null-space dimension of the constraint Gram matrix.
+def _weight0_basis(alg, gs):
+    """Real orthonormal basis of the slice's L_z weight-0 subspace, shaped
+    (n_out, *in_dims, m0).
 
-    Only the count of eigenvalues below the cut is needed, so two inertia
-    computations replace a full eigendecomposition; disagreement between
-    the cut and a 100x wider one plays the role of the spectral-gap check.
+    On a slice the L_z constraint sums the grade blocks of drho(e12) over
+    the axes (input blocks enter negated and transposed, which leaves these
+    antisymmetric blocks unchanged), so products of per-grade eigenvectors
+    are eigenvectors whose weights add; those of total weight 0 span the
+    kernel.  A product of weight-0 vectors is real; any other product and
+    its conjugate give the columns sqrt2 Re and sqrt2 Im.
     """
-    rng = np.random.default_rng(97)
-    v = rng.standard_normal(g.shape[0])
-    lam_max = 1.0
-    for _ in range(30):
-        v = g @ v
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return g.shape[0]
-        lam_max = nrm
-        v /= nrm
-    cut = rel_tol * lam_max
-    low = _inertia_below(g, cut)
-    high = _inertia_below(g, cut * 1e2)
-    if low != high:
-        warnings.warn(
-            RankAmbiguityWarning(
-                f"{context}: {high - low} eigenvalues within 100x of the "
-                f"squared-spectrum cut {cut:.3e}",
-                np.array([cut, cut * 1e2]),
-            ),
-            stacklevel=3,
-        )
-    return low
+    grades = (gs.output_grade,) + gs.input_grades
+    weights, conjs, us = zip(*(_lz_eigenbases(alg)[g] for g in grades))
+    dims = tuple(len(w) for w in weights)
+    tuples = np.argwhere(functools.reduce(np.add.outer, weights) == 0)
+    flat = np.ravel_multi_index(tuples.T, dims)
+    conj = np.ravel_multi_index([c[t] for c, t in zip(conjs, tuples.T)], dims)
+    reps = tuples[flat <= conj]
+    paired = (flat < conj)[flat <= conj]
+    cols = np.ones((1, len(reps)))
+    for u, t in zip(us, reps.T):
+        cols = (cols[:, None, :] * u[:, t]).reshape(-1, len(reps))
+    scale = np.where(paired, np.sqrt(2.0), 1.0)
+    q = np.concatenate([cols.real * scale, np.sqrt(2.0) * cols.imag[:, paired]], axis=1)
+    return q.reshape(dims + (-1,))
 
 
 def solve_multilinear_dim(
@@ -676,11 +663,15 @@ def solve_multilinear_dim(
 ):
     """Dimension of the equivariant maps on one grade slice.
 
-    The flattened map length picks the tier: dense stacked SVD, Gram
-    inertia count, or the matrix-free block eigensolver.  The Gram tiers
-    rank on the squared spectrum, where the attainable relative threshold
-    is 1e-10 (singular-value scale 1e-5) because squaring halves the
-    usable precision.
+    By default a slice of up to _GRAM_MAX_VEC map entries is solved in
+    reduced coordinates ("reduced"): one singular value decomposition of the
+    generating set's constraints on a basis of the L_z weight-0 subspace.
+    Larger slices go to the matrix-free block eigensolver ("iterative"),
+    which ranks on the squared spectrum, where the attainable relative
+    threshold is 1e-10 (singular-value scale 1e-5) because squaring halves
+    the usable precision.  method="dense" takes the singular values of the
+    full stacked constraint matrix, the reference the others are checked
+    against.
     """
     alg = _algebra(algebra)
     _check_group(group)
@@ -694,17 +685,12 @@ def solve_multilinear_dim(
             f"slice too large: {vec} map entries exceeds the cap {entry_cap}"
         )
     if method is None:
-        if vec <= _DENSE_MAX_VEC:
-            method = "dense"
-        elif vec <= _GRAM_MAX_VEC:
-            method = "gram"
-        else:
-            method = "iterative"
+        method = "reduced" if vec <= _GRAM_MAX_VEC else "iterative"
     if method == "dense":
         return _nullspace_dense(_slice_stack(alg, group, grade_slice), rel_tol)
-    if method == "gram":
-        g = _slice_gram(alg, group, grade_slice)
-        return _gram_null_count(g, _LAMBDA_REL_TOL, context=repr(grade_slice))
+    if method == "reduced":
+        op = _SliceOperator(alg, group, grade_slice, _GENERATING_SET)
+        return _nullspace_dense(op.stack(_weight0_basis(alg, grade_slice)), rel_tol)
     if method == "iterative":
         return _kernel_dim_iterative(alg, group, grade_slice, _LAMBDA_REL_TOL)
     raise ValueError(f"unknown method {method!r}")
@@ -974,7 +960,7 @@ def algebra_span_dim(
     span_dims = {ms: builder.slice_span_dims(ms) for ms in multisets}
     del builder  # the memoized sequence spans can be large
 
-    def null_job(ms, o):
+    def null_dim(ms, o):
         try:
             return solve_multilinear_dim(
                 alg,
@@ -988,27 +974,19 @@ def algebra_span_dim(
                 return None
             raise
 
-    jobs = [(ms, o) for ms in multisets for o in range(alg.n + 1)]
-    sizes = [
-        GradeSlice(ms, o).subspace_dims(alg) for ms, o in jobs
-    ]
-    # beyond the dense tier a single job already fills memory
-    workers = _worker_count()
-    if any(n_out * int(np.prod(ins)) > _DENSE_MAX_VEC for ins, n_out in sizes):
-        workers = 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        nulls = list(pool.map(lambda j: null_job(*j), jobs))
     entries = []
-    for (ms, o), null_dim in zip(jobs, nulls):
-        entries.append(
-            SliceEntry(
-                inputs=ms,
-                output=o,
-                span_dim=span_dims[ms].get(o, 0),
-                nullspace_dim=null_dim,
-                skipped=null_dim is None,
+    for ms in multisets:
+        for o in range(alg.n + 1):
+            dim = null_dim(ms, o)
+            entries.append(
+                SliceEntry(
+                    inputs=ms,
+                    output=o,
+                    span_dim=span_dims[ms].get(o, 0),
+                    nullspace_dim=dim,
+                    skipped=dim is None,
+                )
             )
-        )
     counted = [e for e in entries if not e.skipped]
     return SpanReport(
         l=l,

@@ -1,9 +1,9 @@
+import itertools
 import json
 import pathlib
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 
 from gaeq.algebra import get_algebra, inner, left_mult_matrix
 from gaeq.embeddings import embed_point_pga
@@ -18,10 +18,9 @@ from gaeq.groups import (
 )
 from gaeq.solver import (
     GradeSlice,
-    _inertia_below,
-    _slice_gram,
     _slice_stack,
     _SliceOperator,
+    _weight0_basis,
     SliceTooLargeError,
     algebra_span_dim,
     closed_form_basis,
@@ -240,9 +239,9 @@ def test_method_tiers_agree(cga, group):
     gs = GradeSlice((2, 1), 2)  # 500 flattened entries
     dims = {
         method: solve_multilinear_dim(cga, group, gs, method=method)
-        for method in ("dense", "gram", "iterative")
+        for method in ("dense", None, "iterative")
     }
-    assert dims["dense"] == dims["gram"] == dims["iterative"]
+    assert dims["dense"] == dims[None] == dims["iterative"]
 
 
 @pytest.mark.parametrize("group", ["se3", "e3"])
@@ -251,21 +250,72 @@ def test_gram_tiers_match_dense_stack(pga, group):
     stack = _slice_stack(pga, group, gs)
     want = stack.T @ stack
     op = _SliceOperator(pga, group, gs)
-    scale = np.abs(want).max()
-    for got in (_slice_gram(pga, group, gs), op.matmat(np.eye(op.vec))):
-        assert np.abs(got - want).max() <= 1e-12 * scale
+    got = op.matmat(np.eye(op.vec))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_inertia_count_matches_eigenvalues(rng):
-    # a zero diagonal forces 2x2 pivots in the indefinite factorization
-    a = rng.standard_normal((60, 60))
-    g = a + a.T
-    g[np.diag_indices_from(g)] = 0.0
-    _, ipiv, _ = scipy.linalg.lapack.dsytrf(g, lower=1)
-    assert (ipiv < 0).any()
-    eig = np.linalg.eigvalsh(g)
-    for shift in (-1.0, 0.0, 0.5, 3.0):
-        assert _inertia_below(g, shift) == np.count_nonzero(eig < shift)
+def arity2_slices(alg, ordered, max_entries=None):
+    grades = range(alg.n + 1)
+    if ordered:
+        pairs = itertools.product(grades, repeat=2)
+    else:
+        pairs = itertools.combinations_with_replacement(grades, 2)
+    for ins in pairs:
+        for out in grades:
+            gs = GradeSlice(ins, out)
+            ins_dims, n_out = gs.subspace_dims(alg)
+            if max_entries is None or n_out * np.prod(ins_dims) <= max_entries:
+                yield gs
+
+
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+@pytest.mark.parametrize("group", ["se3", "e3"])
+@pytest.mark.parametrize("name", ["ega", "pga", "cga"])
+def test_reduced_tier_matches_dense(name, group):
+    # every ordered arity-2 slice of ega and pga; cga up to 500 entries,
+    # with sorted inputs only, plus one 1000-entry slice
+    alg = get_algebra(name)
+    if name == "cga":
+        slices = list(arity2_slices(alg, ordered=False, max_entries=500))
+        if group == "e3":
+            slices.append(GradeSlice((2, 2), 2))
+    else:
+        slices = list(arity2_slices(alg, ordered=True))
+    for gs in slices:
+        want = solve_multilinear_dim(alg, group, gs, method="dense")
+        assert solve_multilinear_dim(alg, group, gs) == want, gs
+
+
+def lz_rows(alg, gs):
+    """The L_z constraint rows of a slice, alone."""
+    lz = drho(alg, lie_generators(alg)[0])
+
+    def rep(g):
+        idx = alg.grade_indices(g)
+        return RepMatrix(lz[np.ix_(idx, idx)], "lie")
+
+    return constraint_rows(rep(gs.output_grade), [rep(g) for g in gs.input_grades])
+
+
+@pytest.mark.parametrize(
+    "name, inputs, output",
+    [
+        ("ega", (1, 1, 2), 1),
+        ("pga", (1, 2, 3), 2),
+        ("cga", (2, 3), 2),
+        ("cga", (1, 1, 2), 1),
+    ],
+)
+def test_weight0_basis_spans_lz_kernel(name, inputs, output):
+    alg = get_algebra(name)
+    gs = GradeSlice(inputs, output)
+    q = _weight0_basis(alg, gs)
+    q = q.reshape(-1, q.shape[-1])
+    rows = lz_rows(alg, gs)
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+    assert np.abs(rows @ q).max() <= 1e-12
+    s = np.linalg.svd(rows, compute_uv=False)
+    assert q.shape[1] == rows.shape[1] - np.count_nonzero(s > 1e-8 * s[0])
 
 
 def test_multilinear_deterministic(cga):
