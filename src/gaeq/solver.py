@@ -170,7 +170,6 @@ def _reduce_rows(rows, rel_tol=1e-10, abs_tol=0.0):
 
 # -- constraint generators -----------------------------------------------------
 
-_BLOCK_CACHE = {}
 # lie_generators order: rotations e12, e23, e13, then translations x, y, z
 _LIE_NAMES = ("Lz", "Lx", "Ly", "Tx", "Ty", "Tz")
 # the constraint map is a Lie algebra homomorphism, so once L_z holds, the
@@ -185,14 +184,12 @@ def _generator_blocks(alg, group, names=None):
     Every constraint generator acts within each grade (checked), so
     grade-sliced solving only needs the diagonal blocks.
     """
-    key = (alg.name, group)
-    cached = _BLOCK_CACHE.get(key)
-    if cached is None:
-        cached = _BLOCK_CACHE[key] = _build_generator_blocks(alg, group)
-    return [(f, b) for name, f, b in cached if names is None or name in names]
+    named = _named_generator_blocks(alg, group)
+    return [(f, b) for name, f, b in named if names is None or name in names]
 
 
-def _build_generator_blocks(alg, group):
+@functools.lru_cache(maxsize=None)
+def _named_generator_blocks(alg, group):
     entries = [
         (name, "lie", drho(alg, x)) for name, x in zip(_LIE_NAMES, lie_generators(alg))
     ]
