@@ -639,8 +639,8 @@ def _weight0_basis(alg, gs):
     tuples = np.argwhere(functools.reduce(np.add.outer, weights) == 0)
     flat = np.ravel_multi_index(tuples.T, dims)
     conj = np.ravel_multi_index([c[t] for c, t in zip(conjs, tuples.T)], dims)
-    reps = tuples[flat <= conj]
-    paired = (flat < conj)[flat <= conj]
+    keep = flat <= conj  # one tuple of each conjugate pair
+    reps, paired = tuples[keep], (flat < conj)[keep]
     cols = np.ones((1, len(reps)))
     for u, t in zip(us, reps.T):
         cols = (cols[:, None, :] * u[:, t]).reshape(-1, len(reps))
