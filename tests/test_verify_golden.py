@@ -1,23 +1,29 @@
-"""Pinned arity-2 verification report.
+"""Pinned verification reports.
 
 tests/golden/verify_l2_se3.json holds the four verify_conjecture(l_max=2)
 reports (ega, cga, pga, pga with the join; all se3), one SliceEntry per
-line.  Every solver tier change has to reproduce it byte for byte, with no
-rank decision close enough to its cut to raise RankAmbiguityWarning.
+line; tests/golden/verify_l3_long_se3.json holds the eight reports of
+verify_conjecture(l_max=3, long=True) the same way, and is compared only
+with GAEQ_LONG=1 because it takes minutes.  Every solver tier change has to
+reproduce both byte for byte, with no rank decision close enough to its cut
+to raise RankAmbiguityWarning.
 
 Regenerate (only when the reported dimensions are meant to change) with
 
-    PYTHONPATH=src python tests/test_verify_golden.py
+    PYTHONPATH=src python tests/test_verify_golden.py [--long]
 """
 
 import json
+import os
 import pathlib
+import sys
 
 import pytest
 
 from gaeq.solver import verify_conjecture
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_l2_se3.json"
+GOLDEN_L3 = pathlib.Path(__file__).parent / "golden" / "verify_l3_long_se3.json"
 
 
 def render(reports):
@@ -37,6 +43,19 @@ def test_verify_l2_report_matches_golden():
     assert got == GOLDEN.read_text()
 
 
+@pytest.mark.skipif(
+    os.environ.get("GAEQ_LONG") != "1", reason="minutes long; set GAEQ_LONG=1"
+)
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+def test_verify_l3_long_report_matches_golden():
+    got = render(verify_conjecture(l_max=3, long=True))
+    assert got == GOLDEN_L3.read_text()
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(render(verify_conjecture(l_max=2)))
-    print(f"wrote {GOLDEN}")
+    if "--long" in sys.argv[1:]:
+        path, reports = GOLDEN_L3, verify_conjecture(l_max=3, long=True)
+    else:
+        path, reports = GOLDEN, verify_conjecture(l_max=2)
+    path.write_text(render(reports))
+    print(f"wrote {path}")
