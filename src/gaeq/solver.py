@@ -17,27 +17,28 @@ Three cooperating pieces:
 
 Solving always works grade slice by grade slice; the full tensor space is
 never materialized.  The default solve of a slice is one singular value
-decomposition in reduced coordinates: its columns are a real orthonormal
-basis of the slice's weight-0 subspace under the rotation generator e12
-(every equivariant map lies there), and its rows are the constraints of a
-generating set only (the rotation e23, the z translation, the mirror), each
-applied factor by factor to the basis tensor.  Slices beyond that tier go
-to a matrix-free block eigensolver over all generators.  method="dense"
-keeps the full stacked constraint matrix of one constraint builder,
-groups.constraint_terms, as the independent reference.  The linear basis
-is solved block by block, as the (d+1)^2 arity-1 slices.  Slices whose
-flattened map exceeds the entry cap raise SliceTooLargeError.
+decomposition in reduced coordinates: its columns are an exact integer
+basis of the slice's rotation-invariant subspace (every equivariant map
+lies there), built in closed form from the spin-0 and spin-1 pieces of each
+grade block and the delta/epsilon invariant tensors of SO(3), and its rows
+are the z translation and mirror constraints only, applied factor by factor
+to the basis tensor.  Slices beyond that tier go to a matrix-free block
+eigensolver over all generators.  method="dense" keeps the full stacked
+constraint matrix of one constraint builder, groups.constraint_terms, as
+the independent reference.  The linear basis is solved block by block, as
+the (d+1)^2 arity-1 slices.  Slices whose flattened map exceeds the entry
+cap raise SliceTooLargeError.
 """
 
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg
 
-from gaeq.algebra import get_algebra, left_mult_matrix, wedge
+from gaeq.algebra import geometric_product, get_algebra, left_mult_matrix, wedge
 from gaeq.groups import (
     GROUPS,
     RepMatrix,
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_ENTRY_CAP = 20_000_000
-# tier boundary on the flattened map length: reduced coordinates up to
+# tier boundary on the flattened map length: the invariant-basis solve up to
 # _GRAM_MAX_VEC, the matrix-free eigensolver beyond.  _DENSE_MAX_VEC bounds
 # no tier any more; perfbench's tracer still reads both names.
 _DENSE_MAX_VEC = 1500
@@ -105,12 +106,11 @@ def _check_group(group):
 # -- rank decisions ------------------------------------------------------------
 
 
-def _rank_from_spectrum(s, rel_tol, squared=False):
+def _rank_from_spectrum(s, rel_tol):
     """Count of kept values from a descending spectrum, with warnings.
 
     Warns when values sit within a factor 10 of the threshold, and when the
-    kept/dropped separation is thinner than 1e3 (1e6 for squared spectra,
-    which is the same separation on the singular-value scale).
+    kept/dropped separation is thinner than 1e3.
     """
     s = np.asarray(s)
     if s.size == 0 or s[0] <= 0:
@@ -129,8 +129,7 @@ def _rank_from_spectrum(s, rel_tol, squared=False):
         )
     if 0 < rank < s.size:
         dropped = s[rank]
-        min_gap = 1e6 if squared else 1e3
-        if dropped > 0 and s[rank - 1] / dropped < min_gap:
+        if dropped > 0 and s[rank - 1] / dropped < 1e3:
             warnings.warn(
                 RankAmbiguityWarning(
                     f"spectral gap {s[rank - 1]:.3e}/{dropped:.3e} at the rank "
@@ -145,8 +144,8 @@ def _rank_from_spectrum(s, rel_tol, squared=False):
 def _nullspace_dense(stack, rel_tol=1e-10):
     """Dimension of ker(stack)."""
     m, n = stack.shape
-    if m < n:
-        stack = np.vstack([stack, np.zeros((n - m, n))])
+    if m == 0:
+        return n
     s = np.linalg.svd(stack, compute_uv=False)
     return n - _rank_from_spectrum(s, rel_tol)
 
@@ -172,29 +171,26 @@ def _reduce_rows(rows, rel_tol=1e-10, abs_tol=0.0):
 
 # lie_generators order: rotations e12, e23, e13, then translations x, y, z
 _LIE_NAMES = ("Lz", "Lx", "Ly", "Tx", "Ty", "Tz")
-# the constraint map is a Lie algebra homomorphism, so once L_z holds, the
-# commutators of L_z, L_x and T_z give L_y, T_x and T_y for free
-_GENERATING_SET = ("Lx", "Tz", "mirror")
+# the constraints left on rotation-invariant columns: the constraint map is a
+# Lie algebra homomorphism and the rotations' commutators with T_z span T_x
+# and T_y, so T_z and the mirror generate the rest
+_GENERATING_SET = ("Tz", "mirror")
 
 
+@functools.lru_cache(maxsize=None)
 def _generator_blocks(alg, group, names=None):
     """[(flavor, per-grade diagonal blocks)] per generator, all of them or
-    those whose name is in names.
+    those whose name is in the tuple names.
 
     Every constraint generator acts within each grade (checked), so
     grade-sliced solving only needs the diagonal blocks.
     """
-    named = _named_generator_blocks(alg, group)
-    return [(f, b) for name, f, b in named if names is None or name in names]
-
-
-@functools.lru_cache(maxsize=None)
-def _named_generator_blocks(alg, group):
     entries = [
         (name, "lie", drho(alg, x)) for name, x in zip(_LIE_NAMES, lie_generators(alg))
     ]
     if group == "e3":
         entries.append(("mirror", "group", rho(alg, mirror_versor(alg))))
+    entries = [e for e in entries if names is None or e[0] in names]
     out = []
     for name, flavor, m in entries:
         blocks = []
@@ -209,7 +205,7 @@ def _named_generator_blocks(alg, group):
             raise AssertionError(
                 f"constraint generator mixes grades in {alg.name} ({flavor})"
             )
-        out.append((name, flavor, blocks))
+        out.append((flavor, blocks))
     return out
 
 
@@ -527,7 +523,7 @@ class _SliceOperator:
         """The stacked constraint rows times the columns of t, as a matrix
         with one column per column of t; rows that come out zero constrain
         nothing and are left out."""
-        rows = []
+        rows = [np.zeros((0, t.shape[-1]))]
         for flavor, a, factors in self.terms:
             image = self._constraint(flavor, a, factors, t).reshape(self.vec, -1)
             rows.append(image[np.any(image, axis=1)])
@@ -596,57 +592,75 @@ _LAMBDA_REL_TOL = 1e-10  # on the squared spectrum; singular-value scale 1e-5
 
 
 @functools.lru_cache(maxsize=None)
-def _lz_eigenbases(alg):
-    """Per grade, (weight, conjugate, u): u's column a is an eigenvector of
-    drho(e12) of eigenvalue 2i * weight[a], and column conjugate[a] is its
-    complex conjugate.
+def _so3_invariants(k):
+    """Independent integer SO(3)-invariant tensors on (R^3)^(x k).
 
-    drho(e12) is zero on a blade holding both or neither of e1, e2 (weight
-    0, the blade itself).  It maps a blade e_a holding one of them to
-    2s e_p, its partner, and e_p to -2s e_a, so (e_a -+ i s e_p)/sqrt2 have
-    weights +-1 and are conjugate.
+    By Weyl's first fundamental theorem the invariants are spanned by
+    products of deltas with at most one epsilon, that is by the axis
+    permutations of one such product; permutations are kept in order while
+    they raise the rank (1, 0, 1, 1, 3, 6 tensors for k = 0..5).
     """
-    out = []
-    for b in _generator_blocks(alg, "se3", ("Lz",))[0][1]:
-        n = b.shape[0]
-        weight, conj, u = np.zeros(n, dtype=int), np.arange(n), np.eye(n, dtype=complex)
-        for a, p in zip(*np.nonzero(b.T)):
-            if a < p:
-                weight[[a, p]], conj[[a, p]] = (1, -1), (p, a)
-                s = b[p, a] / 2.0
-                pair = np.array([[1, 1], [-1j * s, 1j * s]]) / np.sqrt(2.0)
-                u[np.ix_([a, p], [a, p])] = pair
-        if not (np.array_equal(b, -b.T) and np.allclose(b @ u, u * 2j * weight)):
-            raise AssertionError(f"unexpected drho(e12) block in {alg.name}")
-        out.append((weight, conj, u))
-    return out
+    if k == 1:
+        return []  # no rotation-invariant vector
+    eps = np.zeros((3, 3, 3))
+    for i in range(3):
+        eps[i, (i + 1) % 3, (i + 2) % 3], eps[i, (i + 2) % 3, (i + 1) % 3] = 1, -1
+    product = eps if k % 2 else np.ones(())
+    while product.ndim < k:
+        product = np.multiply.outer(product, np.eye(3))
+    kept = []
+    for perm in itertools.permutations(range(k)):
+        t = product.transpose(perm)
+        if np.linalg.matrix_rank(np.stack([u.ravel() for u in kept + [t]])) > len(kept):
+            kept.append(t)
+    return kept
 
 
-def _weight0_basis(alg, gs):
-    """Real orthonormal basis of the slice's L_z weight-0 subspace, shaped
-    (n_out, *in_dims, m0).
+@functools.lru_cache(maxsize=None)
+def _spin_pieces(alg):
+    """Per grade, the block's rotation pieces as exact signed blade
+    selections shaped (n_grade, 1) (spin 0) or (n_grade, 3) (spin 1).
 
-    On a slice the L_z constraint sums the grade blocks of drho(e12) over
-    the axes (input blocks enter negated and transposed, which leaves these
-    antisymmetric blocks unchanged), so products of per-grade eigenvectors
-    are eigenvectors whose weights add; those of total weight 0 span the
-    kernel.  A product of weight-0 vectors is real; any other product and
-    its conjugate give the columns sqrt2 Re and sqrt2 Im.
+    Rotations act on e1, e2, e3 only, so for every blade X over the other
+    generators X and e123 X are invariant, and (e_i X) and (e_i e123 X)
+    transform like (e1, e2, e3).  Together they cover every blade once.
     """
+    e = np.eye(alg.size)
+    rot = alg.blade_index("e123")
+    vec = [alg.blade_index(f"e{i}") for i in "123"]
+    other = e[[m for m in range(alg.size) if not m & rot]]
+    dual = geometric_product(alg, e[rot], other)
+    pieces = [p[:, None] for p in np.concatenate([other, dual])]
+    for base in (other, dual):
+        # (3, n_other, size) -> one (size, 3) piece per blade X
+        pieces += list(geometric_product(alg, e[vec, None], base).transpose(1, 2, 0))
+    rot_d = [drho(alg, x) for x in lie_generators(alg)[:3]]
+    for p in pieces:
+        for d in rot_d:
+            want = p @ d[np.ix_(vec, vec)] if p.shape[1] == 3 else 0 * p
+            if not np.array_equal(d @ p, want):
+                raise AssertionError(f"{alg.name} piece does not intertwine rotations")
+    blocks = [alg.grade_indices(g) for g in range(alg.n + 1)]
+    return [[p[idx] for p in pieces if p[idx].any()] for idx in blocks]
+
+
+def _invariant_basis(alg, gs):
+    """Integer basis of the slice's SO(3)-invariant subspace, shaped
+    (n_out, *in_dims, cols): for every choice of one rotation piece per
+    axis, the invariant tensors on its spin-1 axes contracted with the
+    pieces.  Rotation blocks are antisymmetric, so the input axes
+    transform like the output axis."""
     grades = (gs.output_grade,) + gs.input_grades
-    weights, conjs, us = zip(*(_lz_eigenbases(alg)[g] for g in grades))
-    dims = tuple(len(w) for w in weights)
-    tuples = np.argwhere(functools.reduce(np.add.outer, weights) == 0)
-    flat = np.ravel_multi_index(tuples.T, dims)
-    conj = np.ravel_multi_index([c[t] for c, t in zip(conjs, tuples.T)], dims)
-    keep = flat <= conj  # one tuple of each conjugate pair
-    reps, paired = tuples[keep], (flat < conj)[keep]
-    cols = np.ones((1, len(reps)))
-    for u, t in zip(us, reps.T):
-        cols = (cols[:, None, :] * u[:, t]).reshape(-1, len(reps))
-    scale = np.where(paired, np.sqrt(2.0), 1.0)
-    q = np.concatenate([cols.real * scale, np.sqrt(2.0) * cols.imag[:, paired]], axis=1)
-    return q.reshape(dims + (-1,))
+    dims = tuple(len(alg.grade_indices(g)) for g in grades)
+    cols = [np.zeros(dims + (0,))]
+    for pieces in itertools.product(*(_spin_pieces(alg)[g] for g in grades)):
+        shape = [p.shape[1] for p in pieces]
+        for t in _so3_invariants(shape.count(3)):
+            t = t.reshape(shape)
+            for p in pieces:
+                t = np.tensordot(t, p, axes=(0, 1))
+            cols.append(t[..., None])
+    return np.concatenate(cols, axis=-1)
 
 
 def solve_multilinear_dim(
@@ -662,7 +676,9 @@ def solve_multilinear_dim(
 
     By default a slice of up to _GRAM_MAX_VEC map entries is solved in
     reduced coordinates ("reduced"): one singular value decomposition of the
-    generating set's constraints on a basis of the L_z weight-0 subspace.
+    z translation and mirror constraints on an integer basis of the slice's
+    rotation-invariant subspace (no column: 0; no constraint row: the column
+    count).
     Larger slices go to the matrix-free block eigensolver ("iterative"),
     which ranks on the squared spectrum, where the attainable relative
     threshold is 1e-10 (singular-value scale 1e-5) because squaring halves
@@ -687,7 +703,7 @@ def solve_multilinear_dim(
         return _nullspace_dense(_slice_stack(alg, group, grade_slice), rel_tol)
     if method == "reduced":
         op = _SliceOperator(alg, group, grade_slice, _GENERATING_SET)
-        return _nullspace_dense(op.stack(_weight0_basis(alg, grade_slice)), rel_tol)
+        return _nullspace_dense(op.stack(_invariant_basis(alg, grade_slice)), rel_tol)
     if method == "iterative":
         return _kernel_dim_iterative(alg, group, grade_slice, _LAMBDA_REL_TOL)
     raise ValueError(f"unknown method {method!r}")
@@ -877,13 +893,7 @@ class SliceEntry:
     skipped: bool = False
 
     def to_dict(self):
-        return {
-            "inputs": list(self.inputs),
-            "output": self.output,
-            "span_dim": self.span_dim,
-            "nullspace_dim": self.nullspace_dim,
-            "skipped": self.skipped,
-        }
+        return {**asdict(self), "inputs": list(self.inputs)}
 
 
 @dataclass
@@ -918,17 +928,7 @@ class SpanReport:
         )
 
     def to_dict(self):
-        return {
-            "l": self.l,
-            "algebra": self.algebra,
-            "with_join": self.with_join,
-            "group": self.group,
-            "span_dim": self.span_dim,
-            "nullspace_dim": self.nullspace_dim,
-            "slices": [s.to_dict() for s in self.slices],
-            "expectation": self.expectation,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "slices": [s.to_dict() for s in self.slices]}
 
 
 def algebra_span_dim(

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gaeq.algebra import get_algebra
+from gaeq.solver import RankAmbiguityWarning, verify_conjecture
 
 ALGEBRA_NAMES = ["ega", "pga", "cga"]
 
@@ -24,6 +27,15 @@ def pga():
 @pytest.fixture(scope="session")
 def cga():
     return get_algebra("cga")
+
+
+@pytest.fixture(scope="session")
+def verify_l2_reports():
+    """verify_conjecture(l_max=2), computed once for the session, with
+    RankAmbiguityWarning as an error.  Tests only read the reports."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankAmbiguityWarning)
+        return verify_conjecture(l_max=2)
 
 
 @pytest.fixture

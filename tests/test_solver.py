@@ -1,9 +1,11 @@
+import functools
 import itertools
 import json
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaeq.algebra import get_algebra, inner, left_mult_matrix
 from gaeq.embeddings import embed_point_pga
@@ -20,7 +22,8 @@ from gaeq.solver import (
     GradeSlice,
     _slice_stack,
     _SliceOperator,
-    _weight0_basis,
+    _GENERATING_SET,
+    _invariant_basis,
     SliceTooLargeError,
     algebra_span_dim,
     closed_form_basis,
@@ -286,36 +289,96 @@ def test_reduced_tier_matches_dense(name, group):
         assert solve_multilinear_dim(alg, group, gs) == want, gs
 
 
-def lz_rows(alg, gs):
-    """The L_z constraint rows of a slice, alone."""
+def character_count(alg, gs):
+    """m0 - m1: index tuples of total weight 0 minus those of weight 1,
+    where weight w is the eigenvalue 2i w of drho(e12) on a grade block.
+    Every spin-l irrep holds one tuple of each weight -l..l, so this counts
+    the rotation invariants."""
     lz = drho(alg, lie_generators(alg)[0])
-
-    def rep(g):
+    weights = []
+    for g in (gs.output_grade,) + gs.input_grades:
         idx = alg.grade_indices(g)
-        return RepMatrix(lz[np.ix_(idx, idx)], "lie")
+        lam = np.linalg.eigvals(lz[np.ix_(idx, idx)])
+        weights.append(np.rint(lam.imag / 2.0).astype(int))
+    total = functools.reduce(np.add.outer, weights)
+    return np.count_nonzero(total == 0) - np.count_nonzero(total == 1)
 
-    return constraint_rows(rep(gs.output_grade), [rep(g) for g in gs.input_grades])
+
+@pytest.mark.parametrize("name", ["ega", "pga", "cga"])
+def test_invariant_columns_match_character_count(name):
+    alg = get_algebra(name)
+    grades = range(alg.n + 1)
+    for arity in (1, 2, 3):
+        for ins in itertools.combinations_with_replacement(grades, arity):
+            for out in grades:
+                gs = GradeSlice(ins, out)
+                cols = _invariant_basis(alg, gs).shape[-1]
+                assert cols == character_count(alg, gs), gs
 
 
 @pytest.mark.parametrize(
-    "name, inputs, output",
+    "name, inputs, output, cols",
     [
-        ("ega", (1, 1, 2), 1),
-        ("pga", (1, 2, 3), 2),
-        ("cga", (2, 3), 2),
-        ("cga", (1, 1, 2), 1),
+        ("ega", (1, 1, 2), 1, 3),
+        ("pga", (1, 2, 3), 2, 24),
+        ("cga", (2, 3), 2, 55),
+        ("cga", (2, 2, 2), 2, 406),
+        ("pga", (2, 2, 2, 2), 2, 192),
     ],
 )
-def test_weight0_basis_spans_lz_kernel(name, inputs, output):
+def test_invariant_basis_is_rotation_invariant(name, inputs, output, cols):
     alg = get_algebra(name)
     gs = GradeSlice(inputs, output)
-    q = _weight0_basis(alg, gs)
-    q = q.reshape(-1, q.shape[-1])
-    rows = lz_rows(alg, gs)
-    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
-    assert np.abs(rows @ q).max() <= 1e-12
-    s = np.linalg.svd(rows, compute_uv=False)
-    assert q.shape[1] == rows.shape[1] - np.count_nonzero(s > 1e-8 * s[0])
+    q = _invariant_basis(alg, gs)
+    assert q.shape[-1] == cols
+    # integer columns: every rotation row comes out exactly zero and is dropped
+    rotations = _SliceOperator(alg, "se3", gs, ("Lz", "Lx", "Ly"))
+    assert rotations.stack(q).shape == (0, q.shape[-1])
+    flat = q.reshape(-1, q.shape[-1])
+    assert np.linalg.matrix_rank(flat) == q.shape[-1]
+
+
+def test_reduced_edge_cases(ega):
+    # no invariant column: a pair of scalars cannot make a vector
+    gs = GradeSlice((0, 0), 1)
+    assert _invariant_basis(ega, gs).shape[-1] == 0
+    for group in ("se3", "e3"):
+        assert solve_multilinear_dim(ega, group, gs) == 0
+    # ega se3 has no constraint left on invariant columns
+    assert _SliceOperator(ega, "se3", gs, _GENERATING_SET).terms == []
+    for gs, e3_dim in [(GradeSlice((1, 1), 0), 1), (GradeSlice((1, 1), 1), 0)]:
+        cols = _invariant_basis(ega, gs).shape[-1]
+        assert solve_multilinear_dim(ega, "se3", gs) == cols == 1
+        # the dot product is mirror-even, so the mirror rows all vanish;
+        # the cross product is mirror-odd
+        mirror = _SliceOperator(ega, "e3", gs, _GENERATING_SET)
+        assert (mirror.stack(_invariant_basis(ega, gs)).shape[0] == 0) == (e3_dim == 1)
+        assert solve_multilinear_dim(ega, "e3", gs) == e3_dim
+
+
+def small_slices(max_entries):
+    for name in ("ega", "pga", "cga"):
+        alg = get_algebra(name)
+        grades = range(alg.n + 1)
+        for arity in (1, 2, 3):
+            for ins in itertools.product(grades, repeat=arity):
+                for out in grades:
+                    gs = GradeSlice(ins, out)
+                    ins_dims, n_out = gs.subspace_dims(alg)
+                    if n_out * np.prod(ins_dims) <= max_entries:
+                        yield name, gs
+
+
+SMALL_SLICES = list(small_slices(600))
+
+
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(SMALL_SLICES), group=st.sampled_from(["se3", "e3"]))
+def test_reduced_matches_dense_property(case, group):
+    name, gs = case
+    want = solve_multilinear_dim(name, group, gs, method="dense")
+    assert solve_multilinear_dim(name, group, gs) == want
 
 
 def test_multilinear_deterministic(cga):
@@ -328,11 +391,9 @@ def test_multilinear_deterministic(cga):
 
 
 @pytest.fixture(scope="module")
-def span_reports():
-    reports = {}
-    for name, join in (("ega", False), ("pga", False), ("pga", True), ("cga", False)):
-        reports[(name, join)] = algebra_span_dim(name, 2, with_join=join, group="se3")
-    return reports
+def span_reports(verify_l2_reports):
+    # the four arity-2 se3 reports, keyed by (algebra, join)
+    return {(r.algebra, r.with_join): r for r in verify_l2_reports}
 
 
 def test_span_never_exceeds_nullspace(span_reports):
@@ -397,8 +458,8 @@ def test_span_rejects_bad_requests(ega, pga):
         algebra_span_dim(ega, 5)
 
 
-def test_verify_conjecture_default_gate():
-    reports = verify_conjecture(l_max=2)
+def test_verify_conjecture_default_gate(verify_l2_reports):
+    reports = verify_l2_reports
     cases = {(r.algebra, r.with_join): r for r in reports}
     assert set(cases) == {
         ("ega", False),

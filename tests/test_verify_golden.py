@@ -38,8 +38,8 @@ def render(reports):
 
 
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
-def test_verify_l2_report_matches_golden():
-    got = render(verify_conjecture(l_max=2))
+def test_verify_l2_report_matches_golden(verify_l2_reports):
+    got = render(verify_l2_reports)
     assert got == GOLDEN.read_text()
 
 
