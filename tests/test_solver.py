@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gaeq.algebra import get_algebra, inner, left_mult_matrix
 from gaeq.embeddings import embed_point_pga
 from gaeq.groups import (
+    GROUPS,
     RepMatrix,
     constraint_rows,
     drho,
@@ -346,14 +347,18 @@ def test_reduced_edge_cases(ega):
         assert solve_multilinear_dim(ega, group, gs) == 0
     # ega se3 has no constraint left on invariant columns
     assert _SliceOperator(ega, "se3", gs, _GENERATING_SET).terms == []
-    for gs, e3_dim in [(GradeSlice((1, 1), 0), 1), (GradeSlice((1, 1), 1), 0)]:
-        cols = _invariant_basis(ega, gs).shape[-1]
-        assert solve_multilinear_dim(ega, "se3", gs) == cols == 1
-        # the dot product is mirror-even, so the mirror rows all vanish;
-        # the cross product is mirror-odd
-        mirror = _SliceOperator(ega, "e3", gs, _GENERATING_SET)
-        assert (mirror.stack(_invariant_basis(ega, gs)).shape[0] == 0) == (e3_dim == 1)
-        assert solve_multilinear_dim(ega, "e3", gs) == e3_dim
+    # the dot product is mirror-even, so every mirror row vanishes and the
+    # stack is empty; the cross product is mirror-odd and is cut
+    dot, cross = GradeSlice((1, 1), 0), GradeSlice((1, 1), 1)
+
+    def mirror_stack(gs):
+        op = _SliceOperator(ega, "e3", gs, _GENERATING_SET)
+        return op.stack(_invariant_basis(ega, gs))
+
+    assert mirror_stack(dot).shape == (0, 1)
+    assert mirror_stack(cross).shape[0] > 0
+    dims = {(g, gs): solve_multilinear_dim(ega, g, gs) for g in GROUPS for gs in (dot, cross)}
+    assert dims == {("se3", dot): 1, ("se3", cross): 1, ("e3", dot): 1, ("e3", cross): 0}
 
 
 def small_slices(max_entries):
