@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +21,15 @@ from gaeq.groups import (
     rho,
 )
 from gaeq.solver import (
+    EquivarianceSpotCheckWarning,
     GradeSlice,
     _slice_stack,
     _SliceOperator,
     _GENERATING_SET,
     _invariant_basis,
+    _so3_invariants,
+    _spot_check_generic_generator,
+    _spin_pieces,
     SliceTooLargeError,
     algebra_span_dim,
     closed_form_basis,
@@ -84,6 +89,23 @@ def test_solved_basis_orthonormal(any_algebra, group):
     flat = basis.maps.reshape(basis.dim, -1)
     gram = flat @ flat.T
     np.testing.assert_allclose(gram, np.eye(basis.dim), atol=1e-10)
+
+
+@pytest.mark.parametrize("name, axes", [("pga", "123"), ("ega", "3")])
+def test_spot_check_flags_partial_violation(name, axes):
+    # keeping only these vector components breaks the translations alone
+    # (pga) or only the rotations about x and y (ega); the one combined
+    # generator has to see either
+    alg = get_algebra(name)
+    bad = np.zeros((alg.size, alg.size))
+    idx = [alg.blade_index(f"e{i}") for i in axes]
+    bad[idx, idx] = 1.0
+    with pytest.warns(EquivarianceSpotCheckWarning):
+        _spot_check_generic_generator(alg, bad.reshape(1, -1))
+    good = solve_linear_basis(alg, "se3").maps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EquivarianceSpotCheckWarning)
+        _spot_check_generic_generator(alg, good.reshape(len(good), -1))
 
 
 def test_solve_rejects_unknown_group(ega):
@@ -339,6 +361,43 @@ def test_invariant_basis_is_rotation_invariant(name, inputs, output, cols):
     assert np.linalg.matrix_rank(flat) == q.shape[-1]
 
 
+def loop_invariant_basis(alg, gs):
+    """Reference form of _invariant_basis: one tensordot per piece, per
+    choice of one piece per axis."""
+    grades = (gs.output_grade,) + gs.input_grades
+    dims = tuple(len(alg.grade_indices(g)) for g in grades)
+    per_grade = [
+        [p for stack in _spin_pieces(alg)[g].values() for p in stack] for g in grades
+    ]
+    cols = [np.zeros(dims + (0,))]
+    for pieces in itertools.product(*per_grade):
+        shape = [p.shape[1] for p in pieces]
+        for t in _so3_invariants(shape.count(3)):
+            t = t.reshape(shape)
+            for p in pieces:
+                t = np.tensordot(t, p, axes=(0, 1))
+            cols.append(t[..., None])
+    return np.concatenate(cols, axis=-1)
+
+
+def assert_same_column_space(alg, gs):
+    new, old = _invariant_basis(alg, gs), loop_invariant_basis(alg, gs)
+    assert new.shape == old.shape, gs
+    if new.shape[-1] == 0:
+        return
+    a, b = new.reshape(-1, new.shape[-1]), old.reshape(-1, old.shape[-1])
+    rank = np.linalg.matrix_rank(a)
+    assert rank == np.linalg.matrix_rank(b) == np.linalg.matrix_rank(np.hstack([a, b])), gs
+
+
+@pytest.mark.parametrize(
+    "name, inputs, output",
+    [("cga", (2, 3), 2), ("cga", (2, 2, 2), 2), ("pga", (2, 2, 2, 2), 2)],
+)
+def test_invariant_basis_matches_loop_form(name, inputs, output):
+    assert_same_column_space(get_algebra(name), GradeSlice(inputs, output))
+
+
 def test_reduced_edge_cases(ega):
     # no invariant column: a pair of scalars cannot make a vector
     gs = GradeSlice((0, 0), 1)
@@ -384,6 +443,13 @@ def test_reduced_matches_dense_property(case, group):
     name, gs = case
     want = solve_multilinear_dim(name, group, gs, method="dense")
     assert solve_multilinear_dim(name, group, gs) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(SMALL_SLICES))
+def test_invariant_basis_matches_loop_form_property(case):
+    name, gs = case
+    assert_same_column_space(get_algebra(name), gs)
 
 
 def test_multilinear_deterministic(cga):
