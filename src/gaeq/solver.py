@@ -16,19 +16,19 @@ Three cooperating pieces:
   grade slice by grade slice.
 
 Solving always works grade slice by grade slice; the full tensor space is
-never materialized.  The default solve of a slice is one singular value
+never materialized.  Every slice is solved by one singular value
 decomposition in reduced coordinates: its columns are an exact integer
 basis of the slice's rotation-invariant subspace (every equivariant map
 lies there), built in closed form from the spin-0 and spin-1 pieces of each
 grade block and the delta/epsilon invariant tensors of SO(3), and its rows
 are the z translation and mirror constraints only, applied factor by factor
-to the basis tensor.  Slices beyond that tier go to a matrix-free block
-eigensolver over all generators; it is the only user of scipy, which it
-imports itself, so every other path runs on numpy alone.  method="dense"
-keeps the full stacked constraint matrix of one constraint builder,
-groups.constraint_terms, as the independent reference.  The linear basis
-is solved block by block, as the (d+1)^2 arity-1 slices.  Slices whose
-flattened map exceeds the entry cap raise SliceTooLargeError.
+to the basis tensor.  The basis is built in column blocks of bounded size,
+each keeping only its nonzero constraint rows, so memory follows the
+constraints, not the basis.  The solver runs on numpy alone.
+method="dense" keeps the full stacked constraint matrix of one constraint
+builder, groups.constraint_terms, as the independent reference.  The linear
+basis is solved block by block, as the (d+1)^2 arity-1 slices.  Slices
+whose flattened map exceeds the entry cap raise SliceTooLargeError.
 """
 
 import functools
@@ -72,11 +72,15 @@ __all__ = [
 ]
 
 DEFAULT_ENTRY_CAP = 20_000_000
-# tier boundary on the flattened map length: the invariant-basis solve up to
-# _GRAM_MAX_VEC, the matrix-free eigensolver beyond.  _DENSE_MAX_VEC bounds
-# no tier any more; perfbench's tracer still reads both names.
+# former tier boundaries on the flattened map length: no tier reads them any
+# more, every slice takes the invariant-basis solve; perfbench's tracer still
+# labels slices by both names
 _DENSE_MAX_VEC = 1500
 _GRAM_MAX_VEC = 11000
+# bytes of one column block of the invariant basis (8 per map entry and
+# column): slices up to arity 3 fit in one block, and the 100 000-entry
+# arity-4 slices are streamed in blocks of their nonzero constraint rows
+_BLOCK_BYTES = 64 << 20
 
 
 class SliceTooLargeError(ValueError):
@@ -490,13 +494,10 @@ def _slice_stack(alg, group, gs):
 class _SliceOperator:
     """Slice constraints applied axis by axis to tensors shaped (n_out,
     *in_dims, cols), never formed as a matrix; all generators, or those
-    named.  matmat applies their Gram operator, the transposed constraint
-    transposing every factor."""
+    named."""
 
     def __init__(self, alg, group, gs, names=None):
         ins, n_out = gs.subspace_dims(alg)
-        self.in_dims = ins
-        self.n_out = n_out
         self.vec = n_out * int(np.prod(ins))
         self.terms = []
         for flavor, blocks in _generator_blocks(alg, group, names):
@@ -522,74 +523,17 @@ class _SliceOperator:
         return out - t
 
     def stack(self, t):
-        """The stacked constraint rows times the columns of t, as a matrix
-        with one column per column of t; rows that come out zero constrain
+        """(index, rows): the stacked constraint rows times the columns of t,
+        as a matrix with one column per column of t, and the number of each
+        row in the stack of all terms; rows that come out zero constrain
         nothing and are left out."""
-        rows = [np.zeros((0, t.shape[-1]))]
-        for flavor, a, factors in self.terms:
+        index, rows = [np.zeros(0, dtype=int)], [np.zeros((0, t.shape[-1]))]
+        for k, (flavor, a, factors) in enumerate(self.terms):
             image = self._constraint(flavor, a, factors, t).reshape(self.vec, -1)
-            rows.append(image[np.any(image, axis=1)])
-        return np.concatenate(rows)
-
-    def matmat(self, v):
-        # the dense eigensolver fallback probes with an integer identity
-        v = np.asarray(v, dtype=float)
-        cols = v.shape[1]
-        t = v.T.reshape((cols, self.n_out) + self.in_dims)
-        t = np.moveaxis(t, 0, -1)  # (n_out, *in_dims, cols)
-        acc = np.zeros_like(t)
-        for flavor, a, factors in self.terms:
-            k = self._constraint(flavor, a, factors, t)
-            acc += self._constraint(flavor, a.T, [f.T for f in factors], k)
-        acc = np.moveaxis(acc, -1, 0).reshape(cols, self.vec)
-        return acc.T
-
-
-def _kernel_dim_iterative(alg, group, gs, rel_tol):
-    import scipy.sparse.linalg  # here, so that no other path loads scipy
-
-    op = _SliceOperator(alg, group, gs)
-    h = scipy.sparse.linalg.LinearOperator(
-        (op.vec, op.vec),
-        matvec=lambda x: op.matmat(x.reshape(-1, 1)).ravel(),
-        matmat=op.matmat,
-        dtype=float,
-    )
-    rng = np.random.default_rng(41)
-    # largest eigenvalue scale by power iteration
-    v = rng.standard_normal((op.vec, 1))
-    lam_max = 0.0
-    for _ in range(40):
-        v = op.matmat(v)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return op.vec  # operator is zero: everything is equivariant
-        lam_max = nrm
-        v /= nrm
-    cut = max(rel_tol, 1e-10) * lam_max
-    k = 128
-    while True:
-        k = min(k, op.vec - 1)
-        block_bytes = 4 * op.vec * k * 8
-        if block_bytes > 1.5e9:
-            raise SliceTooLargeError(
-                f"iterative kernel block for slice {gs} needs "
-                f"{block_bytes / 1e9:.1f} GB"
-            )
-        x = rng.standard_normal((op.vec, k))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            w, _ = scipy.sparse.linalg.lobpcg(
-                h, x, largest=False, tol=1e-9 * lam_max, maxiter=400
-            )
-        w = np.sort(w)
-        n0 = int(np.count_nonzero(w < cut))
-        if n0 < k or k >= op.vec - 1:
-            return n0
-        k *= 2
-
-
-_LAMBDA_REL_TOL = 1e-10  # on the squared spectrum; singular-value scale 1e-5
+            kept = np.flatnonzero(np.any(image, axis=1))
+            index.append(k * self.vec + kept)
+            rows.append(image[kept])
+        return np.concatenate(index), np.concatenate(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -650,36 +594,77 @@ def _spin_pieces(alg):
     return stacks
 
 
-def _invariant_basis(alg, gs):
-    """Integer basis of the slice's SO(3)-invariant subspace, shaped
-    (n_out, *in_dims, cols): for every choice of one rotation piece per
-    axis, the invariant tensors on its spin-1 axes contracted with the
-    pieces.  One block of columns per spin pattern (the width of each
-    axis), contracted with all pieces of those widths at once.  Rotation
-    blocks are antisymmetric, so the input axes transform like the output
-    axis."""
+def _invariant_blocks(alg, gs):
+    """Integer basis of the slice's SO(3)-invariant subspace, in blocks of
+    columns shaped (n_out, *in_dims, cols): for every choice of one rotation
+    piece per axis, the invariant tensors on its spin-1 axes contracted with
+    the pieces.  Each spin pattern (the width of each axis) is contracted
+    with all pieces of those widths at once, split where it exceeds
+    _BLOCK_BYTES along its invariant tensors and the output axis's pieces,
+    down to one invariant and one output piece; the splits are gathered into
+    blocks of at most _BLOCK_BYTES where those allow.  Rotation blocks are
+    antisymmetric, so the input axes transform like the output axis."""
     grades = (gs.output_grade,) + gs.input_grades
     dims = tuple(len(alg.grade_indices(g)) for g in grades)
     stacks = [_spin_pieces(alg)[g] for g in grades]
     m = len(grades)
+    max_cols = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
     # (invariant, count_0, n_0, count_1, n_1, ...) -> (*dims, counts, invariant)
     order = [2 + 2 * j for j in range(m)] + [1 + 2 * j for j in range(m)] + [0]
-    cols = [np.zeros(dims + (0,))]
+    pending, cols = [], 0
     for widths in itertools.product(*stacks):
         invariants = _so3_invariants(widths.count(3))
         if not invariants:
             continue
-        # last axis first, so each step is one matmul per leading index
-        # against the already contracted, and largest, trailing axis
-        t = np.stack(invariants)
-        for j in reversed(range(m)):
-            lead = len(invariants) * math.prod(widths[:j])
-            pieces = stacks[j][widths[j]].reshape(-1, widths[j])
-            t = pieces @ t.reshape(lead, widths[j], -1)
-        split = [d for w, by_width in zip(widths, stacks) for d in by_width[w].shape[:2]]
-        t = t.reshape([len(invariants)] + split).transpose(order)
-        cols.append(t.reshape(dims + (-1,)))
-    return np.concatenate(cols, axis=-1)
+        split = [d for w, by_width in zip(widths[1:], stacks[1:]) for d in by_width[w].shape[:2]]
+        outs = stacks[0][widths[0]]
+        # columns per invariant and output piece
+        unit = math.prod(split[::2])
+        inv_step = max(1, max_cols // unit)
+        for i in range(0, len(invariants), inv_step):
+            # last axis first, so each step is one matmul per leading index
+            # against the already contracted, and largest, trailing axis
+            t = np.stack(invariants[i : i + inv_step])
+            n_inv = t.shape[0]
+            for j in reversed(range(1, m)):
+                pieces = stacks[j][widths[j]].reshape(-1, widths[j])
+                t = pieces @ t.reshape(n_inv * math.prod(widths[:j]), widths[j], -1)
+            t = t.reshape(n_inv, widths[0], -1)
+            step = max(1, max_cols // (unit * n_inv))
+            for s in range(0, len(outs), step):
+                part = outs[s : s + step]
+                u = part.reshape(-1, widths[0]) @ t
+                u = u.reshape([n_inv, *part.shape[:2], *split]).transpose(order)
+                width = unit * n_inv * len(part)
+                if pending and cols + width > max_cols:
+                    block, pending, cols = np.concatenate(pending, axis=-1), [], 0
+                    yield block
+                pending.append(u.reshape(dims + (-1,)))
+                cols += width
+    if pending:
+        # only the block stays referenced while the caller works on it
+        block, pending, t, u = np.concatenate(pending, axis=-1), None, None, None
+        yield block
+
+
+def _reduced_stack(alg, group, gs):
+    """The rows of {T_z, mirror} on the invariant basis, built block by
+    block: each block keeps its nonzero rows, and blocks are merged by row
+    number, so memory follows the kept rows, not the full basis."""
+    op = _SliceOperator(alg, group, gs, _GENERATING_SET)
+    parts = [op.stack(block) for block in _invariant_blocks(alg, gs)]
+    if len(parts) == 1:
+        return parts[0][1]
+    kept = np.zeros(len(op.terms) * op.vec, dtype=bool)
+    for index, _ in parts:
+        kept[index] = True
+    at = np.cumsum(kept) - 1
+    stack = np.zeros((np.count_nonzero(kept), sum(r.shape[1] for _, r in parts)))
+    start = 0
+    for index, rows in parts:
+        stack[at[index], start : start + rows.shape[1]] = rows
+        start += rows.shape[1]
+    return stack
 
 
 def solve_multilinear_dim(
@@ -693,17 +678,15 @@ def solve_multilinear_dim(
 ):
     """Dimension of the equivariant maps on one grade slice.
 
-    By default a slice of up to _GRAM_MAX_VEC map entries is solved in
-    reduced coordinates ("reduced"): one singular value decomposition of the
-    z translation and mirror constraints on an integer basis of the slice's
-    rotation-invariant subspace (no column: 0; no constraint row: the column
-    count).
-    Larger slices go to the matrix-free block eigensolver ("iterative"),
-    which ranks on the squared spectrum, where the attainable relative
-    threshold is 1e-10 (singular-value scale 1e-5) because squaring halves
-    the usable precision.  method="dense" takes the singular values of the
-    full stacked constraint matrix, the reference the others are checked
-    against.
+    By default ("reduced") the slice is solved in reduced coordinates: one
+    singular value decomposition of the z translation and mirror
+    constraints on an integer basis of the slice's rotation-invariant
+    subspace (no column: 0; no constraint row: the column count).  The
+    basis is built in column blocks of bounded size and only the nonzero
+    constraint rows of each are kept, so the largest arity-4 conformal
+    slice (100 000 entries) takes about a minute and under 2 GB.
+    method="dense" takes the singular values of the full stacked
+    constraint matrix, the reference the reduced solve is checked against.
     """
     alg = _algebra(algebra)
     _check_group(group)
@@ -716,15 +699,10 @@ def solve_multilinear_dim(
         raise SliceTooLargeError(
             f"slice too large: {vec} map entries exceeds the cap {entry_cap}"
         )
-    if method is None:
-        method = "reduced" if vec <= _GRAM_MAX_VEC else "iterative"
+    if method is None or method == "reduced":
+        return _nullspace_dense(_reduced_stack(alg, group, grade_slice), rel_tol)
     if method == "dense":
         return _nullspace_dense(_slice_stack(alg, group, grade_slice), rel_tol)
-    if method == "reduced":
-        op = _SliceOperator(alg, group, grade_slice, _GENERATING_SET)
-        return _nullspace_dense(op.stack(_invariant_basis(alg, grade_slice)), rel_tol)
-    if method == "iterative":
-        return _kernel_dim_iterative(alg, group, grade_slice, _LAMBDA_REL_TOL)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -1036,8 +1014,9 @@ def verify_conjecture(
     algebras and for the projective algebra with the join; a strict gap
     somewhere for the projective algebra without it.  Arities 3 and 4 for
     the larger algebras run only with long=True; the conformal algebra at
-    arity 4 additionally needs include_heavy=True (its largest slices
-    exceed desk-scale memory and are skipped where necessary).
+    arity 4 additionally needs include_heavy=True (each of its ten
+    100 000-entry slices takes about a minute to solve).  At arity 4,
+    slices over entry_cap are skipped.
     """
     if not 2 <= l_max <= 4:
         raise ValueError(f"l_max {l_max} outside 2..4")

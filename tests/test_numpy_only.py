@@ -1,5 +1,7 @@
-"""The default paths run on numpy alone: scipy is imported only by the
-matrix-free eigensolver tier of the solver.
+"""gaeq runs on numpy alone: importing it and the command line, the
+arity-2 verification, a 12 500-entry slice (above the former eigensolver
+bound of 11 000 entries) and a forward of every variant leave scipy
+unloaded.
 
 The check needs a fresh interpreter, because other tests import scipy into
 the pytest process."""
@@ -15,12 +17,13 @@ SCRIPT = """
 import sys
 import numpy as np
 import gaeq, gaeq.cli
-from gaeq.solver import verify_conjecture
+from gaeq.solver import GradeSlice, solve_multilinear_dim, verify_conjecture
 from gaeq.transformer import (
     VARIANTS, ModelConfig, TokenBatch, build_model, center_of_mass, forward,
 )
 
 assert all(r.passed for r in verify_conjecture(l_max=2))
+assert solve_multilinear_dim("cga", "se3", GradeSlice((1, 1, 2, 2), 1)) == 69
 pts = np.random.default_rng(0).normal(size=(4, 3))
 for variant in VARIANTS:
     center = center_of_mass(pts) if variant == "E" else None

@@ -1,8 +1,10 @@
 import functools
 import itertools
 import json
+import math
 import pathlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,13 +22,14 @@ from gaeq.groups import (
     random_group_element,
     rho,
 )
+from gaeq import solver
 from gaeq.solver import (
     EquivarianceSpotCheckWarning,
     GradeSlice,
     _slice_stack,
     _SliceOperator,
     _GENERATING_SET,
-    _invariant_basis,
+    _invariant_blocks,
     _so3_invariants,
     _spot_check_generic_generator,
     _spin_pieces,
@@ -265,19 +268,31 @@ def test_method_tiers_agree(cga, group):
     gs = GradeSlice((2, 1), 2)  # 500 flattened entries
     dims = {
         method: solve_multilinear_dim(cga, group, gs, method=method)
-        for method in ("dense", None, "iterative")
+        for method in ("dense", None)
     }
-    assert dims["dense"] == dims[None] == dims["iterative"]
+    assert dims["dense"] == dims[None]
 
 
 @pytest.mark.parametrize("group", ["se3", "e3"])
-def test_gram_tiers_match_dense_stack(pga, group):
+def test_slice_operator_gram_matches_dense_stack(pga, group):
+    # the axis-by-axis operator against the Kronecker rows of constraint_rows
     gs = GradeSlice((1, 2), 2)  # 144 flattened entries
     stack = _slice_stack(pga, group, gs)
     want = stack.T @ stack
     op = _SliceOperator(pga, group, gs)
-    got = op.matmat(np.eye(op.vec))
+    ins, n_out = gs.subspace_dims(pga)
+    rows = op.stack(np.eye(op.vec).reshape((n_out, *ins, op.vec)))[1]
+    got = rows.T @ rows
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+@pytest.mark.parametrize("output, dims", [(1, (69, 38)), (2, (108, 56))])
+def test_large_slices_keep_eigensolver_dims(cga, output, dims):
+    # 12 500 and 25 000 entries, above the former eigensolver bound of
+    # 11 000; (se3, e3) dimensions as that tier solved them
+    gs = GradeSlice((1, 1, 2, 2), output)
+    assert tuple(solve_multilinear_dim(cga, g, gs) for g in ("se3", "e3")) == dims
 
 
 def arity2_slices(alg, ordered, max_entries=None):
@@ -327,6 +342,13 @@ def character_count(alg, gs):
     return np.count_nonzero(total == 0) - np.count_nonzero(total == 1)
 
 
+def invariant_basis(alg, gs):
+    """Every column of the invariant basis, its blocks side by side."""
+    ins, n_out = gs.subspace_dims(alg)
+    blocks = [np.zeros((n_out, *ins, 0)), *_invariant_blocks(alg, gs)]
+    return np.concatenate(blocks, axis=-1)
+
+
 @pytest.mark.parametrize("name", ["ega", "pga", "cga"])
 def test_invariant_columns_match_character_count(name):
     alg = get_algebra(name)
@@ -335,7 +357,7 @@ def test_invariant_columns_match_character_count(name):
         for ins in itertools.combinations_with_replacement(grades, arity):
             for out in grades:
                 gs = GradeSlice(ins, out)
-                cols = _invariant_basis(alg, gs).shape[-1]
+                cols = invariant_basis(alg, gs).shape[-1]
                 assert cols == character_count(alg, gs), gs
 
 
@@ -352,17 +374,17 @@ def test_invariant_columns_match_character_count(name):
 def test_invariant_basis_is_rotation_invariant(name, inputs, output, cols):
     alg = get_algebra(name)
     gs = GradeSlice(inputs, output)
-    q = _invariant_basis(alg, gs)
+    q = invariant_basis(alg, gs)
     assert q.shape[-1] == cols
     # integer columns: every rotation row comes out exactly zero and is dropped
     rotations = _SliceOperator(alg, "se3", gs, ("Lz", "Lx", "Ly"))
-    assert rotations.stack(q).shape == (0, q.shape[-1])
+    assert rotations.stack(q)[1].shape == (0, q.shape[-1])
     flat = q.reshape(-1, q.shape[-1])
     assert np.linalg.matrix_rank(flat) == q.shape[-1]
 
 
 def loop_invariant_basis(alg, gs):
-    """Reference form of _invariant_basis: one tensordot per piece, per
+    """Reference form of _invariant_blocks: one tensordot per piece, per
     choice of one piece per axis."""
     grades = (gs.output_grade,) + gs.input_grades
     dims = tuple(len(alg.grade_indices(g)) for g in grades)
@@ -381,7 +403,7 @@ def loop_invariant_basis(alg, gs):
 
 
 def assert_same_column_space(alg, gs):
-    new, old = _invariant_basis(alg, gs), loop_invariant_basis(alg, gs)
+    new, old = invariant_basis(alg, gs), loop_invariant_basis(alg, gs)
     assert new.shape == old.shape, gs
     if new.shape[-1] == 0:
         return
@@ -401,7 +423,7 @@ def test_invariant_basis_matches_loop_form(name, inputs, output):
 def test_reduced_edge_cases(ega):
     # no invariant column: a pair of scalars cannot make a vector
     gs = GradeSlice((0, 0), 1)
-    assert _invariant_basis(ega, gs).shape[-1] == 0
+    assert list(_invariant_blocks(ega, gs)) == []
     for group in ("se3", "e3"):
         assert solve_multilinear_dim(ega, group, gs) == 0
     # ega se3 has no constraint left on invariant columns
@@ -412,7 +434,7 @@ def test_reduced_edge_cases(ega):
 
     def mirror_stack(gs):
         op = _SliceOperator(ega, "e3", gs, _GENERATING_SET)
-        return op.stack(_invariant_basis(ega, gs))
+        return op.stack(invariant_basis(ega, gs))[1]
 
     assert mirror_stack(dot).shape == (0, 1)
     assert mirror_stack(cross).shape[0] > 0
@@ -437,12 +459,23 @@ SMALL_SLICES = list(small_slices(600))
 
 
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
-@settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from(SMALL_SLICES), group=st.sampled_from(["se3", "e3"]))
-def test_reduced_matches_dense_property(case, group):
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from(SMALL_SLICES),
+    group=st.sampled_from(["se3", "e3"]),
+    block_cols=st.sampled_from([None, 3]),
+)
+def test_reduced_matches_dense_property(case, group, block_cols):
+    # block_cols=3 caps the basis blocks at three columns where the split
+    # allows, so the solve merges the rows of many blocks
     name, gs = case
     want = solve_multilinear_dim(name, group, gs, method="dense")
-    assert solve_multilinear_dim(name, group, gs) == want
+    budget = solver._BLOCK_BYTES
+    if block_cols is not None:
+        ins, n_out = gs.subspace_dims(get_algebra(name))
+        budget = 8 * n_out * math.prod(ins) * block_cols
+    with mock.patch.object(solver, "_BLOCK_BYTES", budget):
+        assert solve_multilinear_dim(name, group, gs) == want
 
 
 @settings(max_examples=60, deadline=None)
