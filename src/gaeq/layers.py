@@ -9,12 +9,14 @@ and attention logits are built from invariant pairings.  Everything here
 is forward-only: parameters are plain arrays set at construction.
 """
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from gaeq.algebra import (
     geometric_product,
     get_algebra,
-    grade_project,
     inner,
     join,
 )
@@ -83,6 +85,57 @@ def _kaiming(rng, shape, fan_in):
     return rng.normal(0.0, 1.0 / np.sqrt(max(fan_in, 1)), shape)
 
 
+class _Family(NamedTuple):
+    """An equivariant map family with its blade blocks, read-only."""
+
+    names: tuple
+    maps: np.ndarray  # (B, n, n)
+    identity: np.ndarray  # (B,) coefficients of the identity map
+    blocks: np.ndarray  # (K, m) blade indices, one row per block
+    block_maps: np.ndarray  # (B, K, m, m): maps[b][blocks[k]][:, blocks[k]]
+
+
+def _blade_blocks(alg, maps):
+    """(K, m) blade indices of the connected components of the maps' joint
+    support: every map couples a blade only with blades of its block."""
+    n = alg.size
+    reach = (maps != 0).any(axis=0)
+    reach = reach | reach.T | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach  # paths twice as long
+    blocks = sorted({tuple(np.flatnonzero(row)) for row in reach})
+    if len({len(b) for b in blocks}) != 1:
+        raise AssertionError(f"{alg.name} map family has unequal blade blocks")
+    blocks = np.array(blocks)
+    if not np.array_equal(np.sort(blocks.ravel()), np.arange(n)):
+        raise AssertionError(f"{alg.name} blade blocks do not partition the blades")
+    inside = np.zeros((n, n), dtype=bool)
+    inside[blocks[:, :, None], blocks[:, None, :]] = True
+    if np.any(maps[:, ~inside]):
+        raise AssertionError(f"{alg.name} map family has support outside its blocks")
+    return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_family(alg, group):
+    """The map family of (algebra, group), built once and shared by every
+    EquiLinear; its arrays are read-only because every layer holds them."""
+    family = equivariant_map_family(alg, group)
+    maps = np.stack([m for _, m in family])
+    blocks = _blade_blocks(alg, maps)
+    block_maps = maps[:, blocks[:, :, None], blocks[:, None, :]]
+    arrays = (maps, identity_coefficients(alg, group), blocks, block_maps)
+    for a in arrays:
+        a.setflags(write=False)
+    return _Family(tuple(name for name, _ in family), *arrays)
+
+
+def _block_order(blocks, channels, n):
+    # the columns of a flat (channels * n) row in (block, channel, blade)
+    # order, so that each block's columns are contiguous
+    return (np.arange(channels)[:, None] * n + blocks[:, None, :]).ravel()
+
+
 class EquiLinear:
     """Channel mixing through the equivariant map family.
 
@@ -90,6 +143,10 @@ class EquiLinear:
     block alongside and the grade-0 coefficient coupling the two kinds of
     channel.  Commutes with the group action tokenwise because every M_b
     does and scalars are invariant.
+
+    Every M_b couples a blade only with the blades of its block (those
+    with the same spatial part, up to the pseudoscalar for se3), so the
+    maps are applied one block at a time in one batched matmul.
 
     init="kaiming" draws all blocks at 1/sqrt(fan_in) scale; init="identity"
     draws a plain channel-mixing matrix and places it on the identity map's
@@ -110,9 +167,9 @@ class EquiLinear:
     ):
         self.algebra = algebra if hasattr(algebra, "gp_tensor") else get_algebra(algebra)
         self.group = group
-        family = equivariant_map_family(self.algebra, group)
-        self.family_names = [name for name, _ in family]
-        self.family = np.stack([m for _, m in family])  # (B, n, n)
+        self._family = _shared_family(self.algebra, group)
+        self.family_names = self._family.names
+        self.family = self._family.maps  # (B, n, n)
         self.mv_in, self.mv_out = int(mv_in), int(mv_out)
         self.scalar_in, self.scalar_out = int(scalar_in), int(scalar_out)
         b = self.family.shape[0]
@@ -122,18 +179,17 @@ class EquiLinear:
             self.weight = _kaiming(rng, (mv_out, mv_in, b), mv_in * b)
         elif init == "identity":
             chan = _kaiming(rng, (mv_out, mv_in), mv_in)
-            self.weight = chan[:, :, None] * identity_coefficients(
-                self.algebra, group
-            )
+            self.weight = chan[:, :, None] * self._family.identity
         elif init == "exact_identity":
             if mv_in != mv_out or scalar_in != scalar_out:
                 raise ValueError("exact identity needs matching channel counts")
-            self.weight = (
-                np.eye(mv_out)[:, :, None]
-                * identity_coefficients(self.algebra, group)
-            )
+            self.weight = np.eye(mv_out)[:, :, None] * self._family.identity
         else:
             raise ValueError(f"unknown init {init!r}")
+        # the input's columns in block order, and the inverse for the output
+        blocks, n = self._family.blocks, self.algebra.size
+        self._gather = _block_order(blocks, self.mv_in, n)
+        self._ungather = np.argsort(_block_order(blocks, self.mv_out, n))
         fan_s = scalar_in + mv_in
         if init == "exact_identity":
             self.scalar_weight = np.eye(scalar_out)
@@ -150,12 +206,25 @@ class EquiLinear:
                 f"expected {self.mv_in} mv / {self.scalar_in} scalar channels, "
                 f"got {x.channels} / {x.scalar_channels}"
             )
-        # fold weight and family into one (C*n, O*n) matrix on every call:
-        # callers edit weight in place, so a kept fold could go stale
-        n = x.algebra.size
-        fold = np.tensordot(self.weight, self.family, ([2], [0])).transpose(1, 3, 0, 2)
-        fold = fold.reshape(self.mv_in * n, self.mv_out * n)
-        mv = (x.mv.reshape(x.tokens, self.mv_in * n) @ fold).reshape(x.tokens, self.mv_out, n)
+        # fold weight and the block-restricted family into one (C*m, O*m)
+        # matrix per block on every call: callers edit weight in place, so a
+        # kept fold could go stale
+        fam = self._family
+        b, k, m = fam.block_maps.shape[:3]
+        t = x.tokens
+        fold = self.weight.reshape(-1, b) @ fam.block_maps.reshape(b, -1)
+        fold = fold.reshape(self.mv_out, self.mv_in, k, m, m).transpose(2, 1, 4, 0, 3)
+        fold = fold.reshape(k, self.mv_in * m, self.mv_out * m)
+        # one matmul per block, batched: (blocks, tokens, C*m) @ (C*m, O*m),
+        # written in (tokens, blocks, O*m) order and put back in blade order
+        xb = np.take(x.mv.reshape(t, -1), self._gather, axis=1).reshape(t, k, -1)
+        yb = np.empty((t, k, self.mv_out * m))
+        np.matmul(xb.transpose(1, 0, 2), fold, out=yb.transpose(1, 0, 2))
+        # released before the output is allocated, so that it can reuse their
+        # memory instead of faulting in fresh pages
+        del xb, fold
+        mv = np.take(yb.reshape(t, -1), self._ungather, axis=1)
+        mv = mv.reshape(t, self.mv_out, x.algebra.size)
         mv[:, :, 0] += x.scalars @ self.scalar_to_mv.T
         scalars = x.scalars @ self.scalar_weight.T + x.mv[:, :, 0] @ self.mv_to_scalar.T
         return MvChannels(x.algebra, mv, scalars)
@@ -269,6 +338,13 @@ def default_norm_config(algebra):
     return NormConfig("per_grade_abs", 0.01)
 
 
+def _grade_forms(alg, mv):
+    """<x_k, x_k> for every grade k of every multivector: (..., n) -> (...,
+    grades), in one matmul against inner_weights times the grade masks."""
+    w = alg.inner_weights[:, None] * (alg.grades[:, None] == np.arange(alg.n + 1))
+    return (mv * mv) @ w
+
+
 def _norm_denominator(cfg, x):
     alg = x.algebra
     if cfg.variant == "plain":
@@ -276,10 +352,7 @@ def _norm_denominator(cfg, x):
     elif cfg.variant == "abs":
         q = np.abs(inner(alg, x.mv, x.mv))
     else:
-        q = sum(
-            np.abs(inner(alg, grade_project(alg, x.mv, k), grade_project(alg, x.mv, k)))
-            for k in range(alg.n + 1)
-        )
+        q = np.abs(_grade_forms(alg, x.mv)).sum(axis=-1)
     return np.sqrt(q.mean(axis=1) + cfg.epsilon)
 
 

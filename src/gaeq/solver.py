@@ -292,18 +292,30 @@ def linear_constraint_spectrum(algebra, group="e3"):
     return _linear_slice_svds(alg, group)[1]
 
 
-def _spot_check_generic_generator(alg, basis_flat):
-    # linearly dependent generators give dependent constraints, so the basis
-    # generators suffice; this re-checks one generic combination per solve,
-    # with square roots of primes as weights so that no violation cancels
-    # (fixed weights: the solve path never loads numpy.random)
+def _spot_check_residual(alg, basis_flat):
+    """(max |D M - M D| over the maps M, the largest entry of D's commutator
+    constraint rows) for one generic combination D of the Lie generators,
+    with square roots of primes as weights so that no violation cancels
+    (fixed weights: the solve path never loads numpy.random)."""
     gens = lie_generators(alg)
     x = sum(c * g for c, g in zip(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0]), gens))
-    rep = RepMatrix(drho(alg, x), "lie")
-    k = constraint_rows(rep, [rep])
-    resid = np.abs(k @ basis_flat.T).max() if basis_flat.size else 0.0
-    scale = max(np.abs(k).max(), 1.0)
-    if resid > 1e-8 * scale:
+    d = drho(alg, x)
+    maps = basis_flat.reshape(-1, alg.size, alg.size)
+    resid = np.abs(d @ maps - maps @ d).max() if maps.size else 0.0
+    # the rows D (x) I - I (x) D^T hold the off-diagonal entries of D and the
+    # differences of its diagonal entries
+    diag = np.diag(d)
+    scale = max(
+        np.abs(d - np.diag(diag)).max(), np.abs(diag[:, None] - diag[None, :]).max()
+    )
+    return resid, scale
+
+
+def _spot_check_generic_generator(alg, basis_flat):
+    # linearly dependent generators give dependent constraints, so the basis
+    # generators suffice; this re-checks one generic combination per solve
+    resid, scale = _spot_check_residual(alg, basis_flat)
+    if resid > 1e-8 * max(scale, 1.0):
         warnings.warn(
             EquivarianceSpotCheckWarning(
                 f"solved {alg.name} basis violates a combined generator "

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gaeq.algebra import geometric_product, get_algebra, grade_project, inner
 from gaeq.embeddings import (
@@ -24,7 +25,8 @@ from gaeq.layers import (
     gated_nonlinearity,
     transform_channels,
 )
-from gaeq.layers import _norm_denominator, _softmax_rows
+from gaeq.layers import _grade_forms, _norm_denominator, _shared_family, _softmax_rows
+from gaeq.transformer import ModelConfig, build_model
 
 N_GROUP_SAMPLES = 20
 LAYER_TOL = 1e-10
@@ -214,6 +216,73 @@ class TestEquiLinear:
         se3 = EquiLinear(pga, "se3", mv_in=1, mv_out=1)
         assert se3.family.shape[0] > e3.family.shape[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["ega", "pga", "cga"]),
+        group=st.sampled_from(["e3", "se3"]),
+        mv_in=st.integers(1, 4),
+        mv_out=st.integers(1, 4),
+        scalar_in=st.integers(0, 3),
+        scalar_out=st.integers(0, 3),
+        tokens=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        name="cga", group="se3", mv_in=3, mv_out=2, scalar_in=2, scalar_out=1,
+        tokens=1, seed=0,
+    )
+    def test_blocked_apply_matches_two_einsum_property(
+        self, name, group, mv_in, mv_out, scalar_in, scalar_out, tokens, seed
+    ):
+        alg = get_algebra(name)
+        rng = np.random.default_rng(seed)
+        lin = EquiLinear(
+            alg, group, mv_in=mv_in, mv_out=mv_out, scalar_in=scalar_in,
+            scalar_out=scalar_out, rng=rng,
+        )
+        x = random_channels(alg, rng, tokens=tokens, channels=mv_in, scalars=scalar_in)
+        mapped = np.einsum("bnm,tcm->tcbn", lin.family, x.mv)
+        want = np.einsum("ocb,tcbn->ton", lin.weight, mapped)
+        want[:, :, 0] += x.scalars @ lin.scalar_to_mv.T
+        got = lin.apply(x)
+        assert got.mv.shape == (tokens, mv_out, alg.size)
+        assert np.abs(got.mv - want).max() <= 1e-14 * np.abs(want).max()
+        want_s = x.scalars @ lin.scalar_weight.T + x.mv[:, :, 0] @ lin.mv_to_scalar.T
+        assert np.array_equal(got.scalars, want_s)
+
+    @pytest.mark.parametrize("group", ["e3", "se3"])
+    def test_blocks_partition_blades_and_hold_family(self, any_algebra, group):
+        fam = _shared_family(any_algebra, group)
+        n = any_algebra.size
+        # spatial part shared (e3), or shared up to the pseudoscalar (se3)
+        k = 8 if group == "e3" else 4
+        assert fam.blocks.shape == (k, n // k)
+        assert np.array_equal(np.sort(fam.blocks.ravel()), np.arange(n))
+        inside = np.zeros((n, n), dtype=bool)
+        for block in fam.blocks:
+            inside[np.ix_(block, block)] = True
+        assert np.any(fam.maps[:, inside])
+        assert not np.any(fam.maps[:, ~inside])
+        for j, block in enumerate(fam.blocks):
+            assert np.array_equal(fam.block_maps[:, j], fam.maps[:, block][:, :, block])
+
+    def test_family_shared_and_read_only(self, rng):
+        model = build_model(ModelConfig("C"))
+        layers = [model.readout] + [
+            layer.proj if isinstance(layer, GeometricBilinear) else layer
+            for block in model.blocks
+            for layer in block.named_layers().values()
+        ]
+        fam = layers[0]._family
+        for layer in layers:
+            assert layer._family is fam
+            assert layer.family is fam.maps
+        for array in (fam.maps, fam.identity, fam.blocks, fam.block_maps):
+            with pytest.raises(ValueError):
+                array.flat[0] = 1
+        lin = EquiLinear(model.algebra, model.cfg.group, rng=rng)
+        assert lin._family is fam
+
 
 # -- geometric bilinear -------------------------------------------------------------
 
@@ -363,6 +432,29 @@ class TestNorm:
         expected = 1.0 / np.sqrt(eps)
         for s in scales:
             assert abs(s - expected) / expected < 0.01
+
+    def test_per_grade_abs_matches_projection_sum(self, any_algebra, rng):
+        # one matmul against the graded inner weights, checked against the
+        # sum of |<x_k, x_k>| over explicit grade projections
+        def check(alg, x):
+            want = sum(
+                np.abs(inner(alg, grade_project(alg, x.mv, k), grade_project(alg, x.mv, k)))
+                for k in range(alg.n + 1)
+            )
+            got = np.abs(_grade_forms(alg, x.mv)).sum(axis=-1)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            cfg = NormConfig("per_grade_abs", 0.01)
+            denom = np.sqrt(want.mean(axis=1) + cfg.epsilon)
+            assert np.abs(_norm_denominator(cfg, x) - denom).max() <= 1e-14 * denom.max()
+
+        for _ in range(5):
+            check(any_algebra, random_channels(any_algebra, rng, tokens=7, channels=4))
+        if any_algebra.name == "cga":
+            # the cancelling input of the test below
+            mv = np.zeros((1, 1, any_algebra.size))
+            mv[0, 0, 0] = 1.0
+            mv[0, 0, any_algebra.blade_index("e-")] = 1.0
+            check(any_algebra, MvChannels(any_algebra, mv))
 
     def test_per_grade_abs_bounded_on_cancelling_input(self, cga):
         # scalar 1 plus a unit negative-square vector: the signed form cancels

@@ -33,6 +33,7 @@ from gaeq.solver import (
     _so3_invariants,
     _spot_check_generic_generator,
     _spin_pieces,
+    _spot_check_residual,
     SliceTooLargeError,
     algebra_span_dim,
     closed_form_basis,
@@ -94,10 +95,10 @@ def test_solved_basis_orthonormal(any_algebra, group):
     np.testing.assert_allclose(gram, np.eye(basis.dim), atol=1e-10)
 
 
-@pytest.mark.parametrize("name, axes", [("pga", "123"), ("ega", "3")])
+@pytest.mark.parametrize("name, axes", [("pga", "123"), ("cga", "123"), ("ega", "3")])
 def test_spot_check_flags_partial_violation(name, axes):
     # keeping only these vector components breaks the translations alone
-    # (pga) or only the rotations about x and y (ega); the one combined
+    # (pga, cga) or only the rotations about x and y (ega); the one combined
     # generator has to see either
     alg = get_algebra(name)
     bad = np.zeros((alg.size, alg.size))
@@ -109,6 +110,29 @@ def test_spot_check_flags_partial_violation(name, axes):
     with warnings.catch_warnings():
         warnings.simplefilter("error", EquivarianceSpotCheckWarning)
         _spot_check_generic_generator(alg, good.reshape(len(good), -1))
+
+
+def kronecker_spot_check(alg, basis_flat):
+    """(residual, scale) of the spot check from the Kronecker constraint rows."""
+    gens = lie_generators(alg)
+    x = sum(c * g for c, g in zip(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0]), gens))
+    rep = RepMatrix(drho(alg, x), "lie")
+    k = constraint_rows(rep, [rep])
+    return np.abs(k @ basis_flat.T).max(), np.abs(k).max()
+
+
+@pytest.mark.parametrize("group", ["e3", "se3"])
+def test_spot_check_matches_kronecker_rows(any_algebra, group, rng):
+    maps = solve_linear_basis(any_algebra, group).maps
+    corrupted = maps + 1e-3 * rng.normal(size=maps.shape)
+    for basis in (maps, corrupted):
+        flat = basis.reshape(len(basis), -1)
+        resid, scale = _spot_check_residual(any_algebra, flat)
+        want_resid, want_scale = kronecker_spot_check(any_algebra, flat)
+        assert scale == want_scale
+        # the two sum the same products in different orders
+        assert abs(resid - want_resid) <= 1e-13 * scale + 1e-12 * want_resid
+    assert want_resid > 1e-6 * scale
 
 
 def test_solve_rejects_unknown_group(ega):
@@ -418,6 +442,43 @@ def assert_same_column_space(alg, gs):
 )
 def test_invariant_basis_matches_loop_form(name, inputs, output):
     assert_same_column_space(get_algebra(name), GradeSlice(inputs, output))
+
+
+def all_slices(name, max_arity):
+    grades = range(get_algebra(name).n + 1)
+    for arity in range(1, max_arity + 1):
+        for ins in itertools.product(grades, repeat=arity):
+            for out in grades:
+                yield GradeSlice(ins, out)
+
+
+@pytest.mark.parametrize(
+    "name, slices",
+    [
+        ("ega", None),
+        ("pga", None),
+        ("cga", None),
+        # the slices-l3 benchmark slices
+        ("cga", [((1, 1, 2), 2), ((1, 2, 2), 1), ((1, 1, 3), 3), ((1, 2, 2), 2)]),
+    ],
+)
+def test_invariant_columns_are_mirror_eigenvectors(name, slices):
+    # every invariant column is mapped by the mirror to itself or to its
+    # negative, exactly: the mirror rows only tell even columns from odd ones
+    alg = get_algebra(name)
+    slices = all_slices(name, 2) if slices is None else [GradeSlice(*s) for s in slices]
+    counts = np.zeros(2, dtype=int)
+    for gs in slices:
+        op = _SliceOperator(alg, "e3", gs, ("mirror",))
+        ((flavor, a, factors),) = op.terms
+        for block in _invariant_blocks(alg, gs):
+            moved = op._constraint(flavor, a, factors, block)  # mirror(q) - q
+            flat, diff = block.reshape(-1, block.shape[-1]), moved.reshape(-1, block.shape[-1])
+            even = ~diff.any(axis=0)
+            odd = (diff == -2 * flat).all(axis=0)
+            assert (even | odd).all(), gs
+            counts += even.sum(), odd.sum()
+    assert counts.min() > 0, counts
 
 
 def test_reduced_edge_cases(ega):
