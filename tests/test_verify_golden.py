@@ -4,15 +4,19 @@ tests/golden/verify_l2_se3.json holds the four verify_conjecture(l_max=2)
 reports (ega, cga, pga, pga with the join; all se3), one SliceEntry per
 line; tests/golden/verify_l3_long_se3.json holds the eight reports of
 verify_conjecture(l_max=3, long=True) the same way, and is compared only
-with GAEQ_LONG=1 because it takes minutes.  Every solver tier change has to
-reproduce both byte for byte, with no rank decision close enough to its cut
-to raise RankAmbiguityWarning.
+with GAEQ_LONG=1 because it takes minutes.  Those reports are all se3, so
+tests/golden/null_dims_e3.json pins the e3 null-space dimension of every
+sorted slice of arity 1 to 3 of the three algebras (909 slices, at most
+10 000 entries each), one slice per line.  Every solver change has to
+reproduce all three byte for byte, with no rank decision close enough to
+its cut to raise RankAmbiguityWarning.
 
 Regenerate (only when the reported dimensions are meant to change) with
 
-    PYTHONPATH=src python tests/test_verify_golden.py [--long]
+    PYTHONPATH=src python tests/test_verify_golden.py [--long | --e3]
 """
 
+import itertools
 import json
 import os
 import pathlib
@@ -20,10 +24,12 @@ import sys
 
 import pytest
 
-from gaeq.solver import verify_conjecture
+from gaeq.algebra import get_algebra
+from gaeq.solver import GradeSlice, solve_multilinear_dim, verify_conjecture
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_l2_se3.json"
 GOLDEN_L3 = pathlib.Path(__file__).parent / "golden" / "verify_l3_long_se3.json"
+GOLDEN_E3 = pathlib.Path(__file__).parent / "golden" / "null_dims_e3.json"
 
 
 def render(reports):
@@ -37,10 +43,30 @@ def render(reports):
     return "[\n" + ",\n".join(parts) + "\n]\n"
 
 
+def render_e3_null_dims():
+    """The e3 null-space dimension of every sorted slice of arity 1 to 3,
+    algebra by algebra, as a JSON list with one slice per line."""
+    rows = []
+    for name in ("ega", "pga", "cga"):
+        grades = range(get_algebra(name).n + 1)
+        for arity in (1, 2, 3):
+            for ins in itertools.combinations_with_replacement(grades, arity):
+                for out in grades:
+                    dim = solve_multilinear_dim(name, "e3", GradeSlice(ins, out))
+                    entry = {"algebra": name, "inputs": list(ins), "output": out}
+                    rows.append(json.dumps({**entry, "nullspace_dim": dim}))
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
 def test_verify_l2_report_matches_golden(verify_l2_reports):
     got = render(verify_l2_reports)
     assert got == GOLDEN.read_text()
+
+
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+def test_e3_null_dims_match_golden():
+    assert render_e3_null_dims() == GOLDEN_E3.read_text()
 
 
 @pytest.mark.skipif(
@@ -54,8 +80,10 @@ def test_verify_l3_long_report_matches_golden():
 
 if __name__ == "__main__":
     if "--long" in sys.argv[1:]:
-        path, reports = GOLDEN_L3, verify_conjecture(l_max=3, long=True)
+        path, text = GOLDEN_L3, render(verify_conjecture(l_max=3, long=True))
+    elif "--e3" in sys.argv[1:]:
+        path, text = GOLDEN_E3, render_e3_null_dims()
     else:
-        path, reports = GOLDEN, verify_conjecture(l_max=2)
-    path.write_text(render(reports))
+        path, text = GOLDEN, render(verify_conjecture(l_max=2))
+    path.write_text(text)
     print(f"wrote {path}")
