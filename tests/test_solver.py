@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import pathlib
 import warnings
 from unittest import mock
@@ -30,6 +31,7 @@ from gaeq.solver import (
     _SliceOperator,
     _GENERATING_SET,
     _invariant_blocks,
+    _mirror_even,
     _so3_invariants,
     _spot_check_generic_generator,
     _spin_pieces,
@@ -288,7 +290,8 @@ def test_entry_cap_raises(cga):
 
 @pytest.mark.parametrize("group", ["se3", "e3"])
 def test_method_tiers_agree(cga, group):
-    # e3 adds the mirror, a group-flavor constraint
+    # for e3 the dense stack adds the mirror's group-flavour rows, while the
+    # reduced solve keeps the mirror-even invariant columns instead
     gs = GradeSlice((2, 1), 2)  # 500 flattened entries
     dims = {
         method: solve_multilinear_dim(cga, group, gs, method=method)
@@ -299,13 +302,20 @@ def test_method_tiers_agree(cga, group):
 
 @pytest.mark.parametrize("group", ["se3", "e3"])
 def test_slice_operator_gram_matches_dense_stack(pga, group):
-    # the axis-by-axis operator against the Kronecker rows of constraint_rows
+    # the axis-by-axis operator against the Kronecker rows of constraint_rows:
+    # on every entry against the se3 stack, which holds the Lie rows alone;
+    # on the mirror-even invariant columns against the e3 stack, whose mirror
+    # rows vanish there
     gs = GradeSlice((1, 2), 2)  # 144 flattened entries
-    stack = _slice_stack(pga, group, gs)
-    want = stack.T @ stack
-    op = _SliceOperator(pga, group, gs)
+    op = _SliceOperator(pga, gs)
     ins, n_out = gs.subspace_dims(pga)
-    rows = op.stack(np.eye(op.vec).reshape((n_out, *ins, op.vec)))[1]
+    cols = np.eye(op.vec).reshape((n_out, *ins, op.vec))
+    if group == "e3":
+        cols = invariant_basis(pga, gs)
+        cols = cols[..., _mirror_even(pga, gs, cols)]
+    stack = _slice_stack(pga, group, gs) @ cols.reshape(op.vec, -1)
+    want = stack.T @ stack
+    rows = op.stack(cols)[1]
     got = rows.T @ rows
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -317,6 +327,17 @@ def test_large_slices_keep_eigensolver_dims(cga, output, dims):
     # 11 000; (se3, e3) dimensions as that tier solved them
     gs = GradeSlice((1, 1, 2, 2), output)
     assert tuple(solve_multilinear_dim(cga, g, gs) for g in ("se3", "e3")) == dims
+
+
+@pytest.mark.skipif(
+    os.environ.get("GAEQ_LONG") != "1", reason="about a minute; set GAEQ_LONG=1"
+)
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+def test_largest_arity4_slice_dims(cga):
+    # 100 000 entries: the invariant basis comes in dozens of column blocks,
+    # so this pins the merge of many blocks' rows at the largest size
+    gs = GradeSlice((2, 2, 2, 2), 2)
+    assert tuple(solve_multilinear_dim(cga, g, gs) for g in ("se3", "e3")) == (292, 146)
 
 
 def arity2_slices(alg, ordered, max_entries=None):
@@ -401,7 +422,7 @@ def test_invariant_basis_is_rotation_invariant(name, inputs, output, cols):
     q = invariant_basis(alg, gs)
     assert q.shape[-1] == cols
     # integer columns: every rotation row comes out exactly zero and is dropped
-    rotations = _SliceOperator(alg, "se3", gs, ("Lz", "Lx", "Ly"))
+    rotations = _SliceOperator(alg, gs, ("Lz", "Lx", "Ly"))
     assert rotations.stack(q)[1].shape == (0, q.shape[-1])
     flat = q.reshape(-1, q.shape[-1])
     assert np.linalg.matrix_rank(flat) == q.shape[-1]
@@ -464,21 +485,48 @@ def all_slices(name, max_arity):
 )
 def test_invariant_columns_are_mirror_eigenvectors(name, slices):
     # every invariant column is mapped by the mirror to itself or to its
-    # negative, exactly: the mirror rows only tell even columns from odd ones
+    # negative, exactly, so the mirror only tells even columns from odd ones;
+    # the mirror is applied here as rho(mirror_versor) on every axis, and
+    # _mirror_even, which reads it as signs, must agree.  slices=None: every
+    # ordered slice up to arity 2 and every sorted slice of arity 3
     alg = get_algebra(name)
-    slices = all_slices(name, 2) if slices is None else [GradeSlice(*s) for s in slices]
+    grades = range(alg.n + 1)
+    if slices is None:
+        sorted_l3 = itertools.combinations_with_replacement(grades, 3)
+        sorted_l3 = [GradeSlice(ins, out) for ins in sorted_l3 for out in grades]
+        slices = [*all_slices(name, 2), *sorted_l3]
+    else:
+        slices = [GradeSlice(*s) for s in slices]
+    r = rho(alg, mirror_versor(alg))
+    assert np.array_equal(r @ r, np.eye(alg.size))  # its own inverse
     counts = np.zeros(2, dtype=int)
     for gs in slices:
-        op = _SliceOperator(alg, "e3", gs, ("mirror",))
-        ((flavor, a, factors),) = op.terms
+        indices = map(alg.grade_indices, (gs.output_grade,) + gs.input_grades)
+        grade_blocks = [r[np.ix_(i, i)] for i in indices]
         for block in _invariant_blocks(alg, gs):
-            moved = op._constraint(flavor, a, factors, block)  # mirror(q) - q
-            flat, diff = block.reshape(-1, block.shape[-1]), moved.reshape(-1, block.shape[-1])
-            even = ~diff.any(axis=0)
-            odd = (diff == -2 * flat).all(axis=0)
+            # r on the output axis, r^-T = r^T on every input axis
+            moved = block
+            for axis, m in enumerate(grade_blocks):
+                m = m if axis == 0 else m.T
+                moved = np.moveaxis(np.tensordot(m, moved, axes=(1, axis)), 0, axis)
+            cols = block.shape[-1]
+            flat, image = block.reshape(-1, cols), moved.reshape(-1, cols)
+            even = (image == flat).all(axis=0)
+            odd = (image == -flat).all(axis=0)
             assert (even | odd).all(), gs
+            assert np.array_equal(_mirror_even(alg, gs, block), even), gs
             counts += even.sum(), odd.sum()
     assert counts.min() > 0, counts
+
+
+def test_mixed_parity_column_raises(pga):
+    gs = GradeSlice((0, 2), 2)  # two even and two odd invariant columns
+    q = invariant_basis(pga, gs)
+    even = _mirror_even(pga, gs, q)
+    assert even.tolist() == [True, False, False, True]
+    mixed = q[..., :2] + q[..., 2:]
+    with pytest.raises(AssertionError, match=r"pga slice \(0, 2\)->2: .* neither"):
+        _mirror_even(pga, gs, mixed)
 
 
 def test_reduced_edge_cases(ega):
@@ -487,18 +535,13 @@ def test_reduced_edge_cases(ega):
     assert list(_invariant_blocks(ega, gs)) == []
     for group in ("se3", "e3"):
         assert solve_multilinear_dim(ega, group, gs) == 0
-    # ega se3 has no constraint left on invariant columns
-    assert _SliceOperator(ega, "se3", gs, _GENERATING_SET).terms == []
-    # the dot product is mirror-even, so every mirror row vanishes and the
-    # stack is empty; the cross product is mirror-odd and is cut
+    # ega has no translation, so no constraint is left on invariant columns
+    assert _SliceOperator(ega, gs, _GENERATING_SET).terms == []
+    # the dot product is mirror-even and kept; the cross product is
+    # mirror-odd and cut
     dot, cross = GradeSlice((1, 1), 0), GradeSlice((1, 1), 1)
-
-    def mirror_stack(gs):
-        op = _SliceOperator(ega, "e3", gs, _GENERATING_SET)
-        return op.stack(invariant_basis(ega, gs))[1]
-
-    assert mirror_stack(dot).shape == (0, 1)
-    assert mirror_stack(cross).shape[0] > 0
+    assert _mirror_even(ega, dot, invariant_basis(ega, dot)).tolist() == [True]
+    assert _mirror_even(ega, cross, invariant_basis(ega, cross)).tolist() == [False]
     dims = {(g, gs): solve_multilinear_dim(ega, g, gs) for g in GROUPS for gs in (dot, cross)}
     assert dims == {("se3", dot): 1, ("se3", cross): 1, ("e3", dot): 1, ("e3", cross): 0}
 
