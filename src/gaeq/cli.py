@@ -400,25 +400,15 @@ def cmd_norm_probe(args):
         x = equi_norm(cfg, x)
         series.append(float(np.abs(x.mv).max()))
 
-    if args.json:
-        payload = {
-            "algebra": args.algebra,
-            "variant": variant,
-            "epsilon": epsilon,
-            "iterations": args.iterations,
-            "max_abs_coeff": series,
-        }
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        rows = [
-            f"{i},{v:.17g}" for i, v in enumerate(series)
-        ]
-        body = "iteration,max_abs_coeff\n" + "\n".join(rows) + "\n"
-    if args.out:
-        _write_text(args.out, body)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(body)
+    payload = {
+        "algebra": args.algebra,
+        "variant": variant,
+        "epsilon": epsilon,
+        "iterations": args.iterations,
+        "max_abs_coeff": series,
+    }
+    rows = [f"{i},{v:.17g}" for i, v in enumerate(series)]
+    _emit(args, payload, "iteration,max_abs_coeff\n" + "\n".join(rows) + "\n")
     return 0
 
 

@@ -77,9 +77,6 @@ class Versor:
         """Sandwich action on a multivector (twisted when odd)."""
         return sandwich(self.algebra, self.value, x, odd=self.odd)
 
-    def inverse_value(self):
-        return mv_inverse(self.algebra, self.value)
-
     def compose(self, other):
         """Versor of self after other: value product, parities add."""
         if other.algebra is not self.algebra:

@@ -21,12 +21,14 @@ decomposition in reduced coordinates: its columns are an exact integer
 basis of the slice's rotation-invariant subspace (every equivariant map
 lies there), built in closed form from the spin-0 and spin-1 pieces of each
 grade block and the delta/epsilon invariant tensors of SO(3), and its rows
-are the z translation constraints only, applied factor by factor to the
-basis tensor.  The mirror maps every invariant column to itself or to its
+are the z translation constraints only, applied axis by axis to the basis
+tensor.  The mirror maps every invariant column to itself or to its
 negative, so for the full group it keeps the even columns and adds no row.
-The basis is built in column blocks of bounded size, each keeping only its
-nonzero constraint rows, so memory follows the constraints, not the basis.
-The solver runs on numpy alone.
+The basis is held as the list of its nonzero entries, each column one per
+nonzero of its invariant tensor, and the constraint moves each entry by
+index arithmetic, so the stack holds only the rows some entry reaches and
+memory follows the constraints, not the basis.  The solver runs on numpy
+alone.
 method="dense" keeps the full stacked constraint matrix of one constraint
 builder, groups.constraint_terms, as the independent reference.  The linear
 basis is solved block by block, as the (d+1)^2 arity-1 slices.  Slices
@@ -79,10 +81,6 @@ DEFAULT_ENTRY_CAP = 20_000_000
 # labels slices by both names
 _DENSE_MAX_VEC = 1500
 _GRAM_MAX_VEC = 11000
-# bytes of one column block of the invariant basis (8 per map entry and
-# column): slices up to arity 3 fit in one block, and the 100 000-entry
-# arity-4 slices are streamed in blocks of their nonzero constraint rows
-_BLOCK_BYTES = 64 << 20
 
 
 class SliceTooLargeError(ValueError):
@@ -506,42 +504,6 @@ def _slice_stack(alg, group, gs):
     )
 
 
-class _SliceOperator:
-    """Lie constraints of a slice applied axis by axis to tensors shaped
-    (n_out, *in_dims, cols), never formed as a matrix; all generators, or
-    those named."""
-
-    def __init__(self, alg, gs, names=None):
-        ins, n_out = gs.subspace_dims(alg)
-        self.vec = n_out * int(np.prod(ins))
-        # the se3 generators are the Lie generators alone
-        self.terms = [
-            (blocks[gs.output_grade], [blocks[k].T for k in gs.input_grades])
-            for _, blocks in _generator_blocks(alg, "se3", names)
-        ]
-
-    def _apply_axis(self, t, m, axis):
-        # contract matrix m into the given tensor axis of t
-        return np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
-
-    def stack(self, t):
-        """(index, rows): the stacked constraint rows times the columns of t,
-        as a matrix with one column per column of t, and the number of each
-        row in the stack of all terms; rows that come out zero constrain
-        nothing and are left out."""
-        index, rows = [np.zeros(0, dtype=int)], [np.zeros((0, t.shape[-1]))]
-        for k, (a, factors) in enumerate(self.terms):
-            # the generator on the output axis minus it on each input axis
-            image = self._apply_axis(t, a, 0)
-            for j, f in enumerate(factors):
-                image -= self._apply_axis(t, f, 1 + j)
-            image = image.reshape(self.vec, -1)
-            kept = np.flatnonzero(np.any(image, axis=1))
-            index.append(k * self.vec + kept)
-            rows.append(image[kept])
-        return np.concatenate(index), np.concatenate(rows)
-
-
 @functools.lru_cache(maxsize=None)
 def _so3_invariants(k):
     """Independent integer SO(3)-invariant tensors on (R^3)^(x k).
@@ -600,74 +562,71 @@ def _spin_pieces(alg):
     return stacks
 
 
-def _invariant_blocks(alg, gs):
-    """Integer basis of the slice's SO(3)-invariant subspace, in blocks of
-    columns shaped (n_out, *in_dims, cols): for every choice of one rotation
-    piece per axis, the invariant tensors on its spin-1 axes contracted with
-    the pieces.  Each spin pattern (the width of each axis) is contracted
-    with all pieces of those widths at once, split where it exceeds
-    _BLOCK_BYTES along its invariant tensors and the output axis's pieces,
-    down to one invariant and one output piece; the splits are gathered into
-    blocks of at most _BLOCK_BYTES where those allow.  Rotation blocks are
-    antisymmetric, so the input axes transform like the output axis."""
-    grades = (gs.output_grade,) + gs.input_grades
-    dims = tuple(len(alg.grade_indices(g)) for g in grades)
-    stacks = [_spin_pieces(alg)[g] for g in grades]
-    m = len(grades)
-    max_cols = max(1, _BLOCK_BYTES // (8 * math.prod(dims)))
-    # (invariant, count_0, n_0, count_1, n_1, ...) -> (*dims, counts, invariant)
-    order = [2 + 2 * j for j in range(m)] + [1 + 2 * j for j in range(m)] + [0]
-    pending, cols = [], 0
-    for widths in itertools.product(*stacks):
-        invariants = _so3_invariants(widths.count(3))
-        if not invariants:
-            continue
-        split = [d for w, by_width in zip(widths[1:], stacks[1:]) for d in by_width[w].shape[:2]]
-        outs = stacks[0][widths[0]]
-        # columns per invariant and output piece
-        unit = math.prod(split[::2])
-        inv_step = max(1, max_cols // unit)
-        for i in range(0, len(invariants), inv_step):
-            # last axis first, so each step is one matmul per leading index
-            # against the already contracted, and largest, trailing axis
-            t = np.stack(invariants[i : i + inv_step])
-            n_inv = t.shape[0]
-            for j in reversed(range(1, m)):
-                pieces = stacks[j][widths[j]].reshape(-1, widths[j])
-                t = pieces @ t.reshape(n_inv * math.prod(widths[:j]), widths[j], -1)
-            t = t.reshape(n_inv, widths[0], -1)
-            step = max(1, max_cols // (unit * n_inv))
-            for s in range(0, len(outs), step):
-                part = outs[s : s + step]
-                u = part.reshape(-1, widths[0]) @ t
-                u = u.reshape([n_inv, *part.shape[:2], *split]).transpose(order)
-                width = unit * n_inv * len(part)
-                if pending and cols + width > max_cols:
-                    block, pending, cols = np.concatenate(pending, axis=-1), [], 0
-                    yield block
-                pending.append(u.reshape(dims + (-1,)))
-                cols += width
-    if pending:
-        # only the block stays referenced while the caller works on it
-        block, pending, t, u = np.concatenate(pending, axis=-1), None, None, None
-        yield block
+@functools.lru_cache(maxsize=None)
+def _blade_tables(alg):
+    """_spin_pieces as (blade, sign) tables: per grade, {width: (index in the
+    grade block, sign)}, both shaped (count, width), since every piece
+    column is one signed blade (checked)."""
+    tables = []
+    for stacks in _spin_pieces(alg):
+        table = {}
+        for w, p in stacks.items():
+            blade = np.abs(p).argmax(axis=1)
+            sign = np.take_along_axis(p, blade[:, None], axis=1)[:, 0]
+            if np.count_nonzero(p) != sign.size or not (np.abs(sign) == 1).all():
+                raise AssertionError(f"{alg.name} piece column is not a signed blade")
+            table[w] = blade, sign
+        tables.append(table)
+    return tables
 
 
-def _mirror_even(alg, gs, block):
-    """Mask of the columns of an invariant block (n_out, *in_dims, cols)
-    that the mirror leaves unchanged.  rho(mirror) is a diagonal of signs
-    (checked), so the mirror multiplies each map entry by the product of
-    its index signs: a column is even when it vanishes wherever that
-    product is -1, odd when it vanishes wherever it is +1, and raises when
-    it is neither."""
+def _invariant_entries(alg, grades):
+    """(flat, col, val, cols): the nonzero entries of an integer basis of
+    the SO(3)-invariant tensors on the grade blocks (output grade first),
+    at row-major flat indices, and its column count.  Every choice of one
+    rotation piece per axis and one invariant tensor on its spin-1 axes is
+    a column, the invariant contracted with the pieces; every piece column
+    is one signed blade, so each nonzero of the invariant is one entry of
+    the column.  Rotation blocks are antisymmetric, so the input axes
+    transform like the output axis."""
+    tables = [_blade_tables(alg)[g] for g in grades]
+    dims = [len(alg.grade_indices(g)) for g in grades]
+    strides = np.cumprod([1] + dims[:0:-1])[::-1]
+    # (flat index, column, value) arrays, from no entry on
+    parts, cols = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))], 0
+    for widths in itertools.product(*tables):
+        for t in _so3_invariants(widths.count(3)):
+            n = np.count_nonzero(t)
+            spin1 = iter(np.argwhere(t).T)
+            # (columns so far, n), one axis at a time
+            f, v = np.zeros((1, n), dtype=int), t[t != 0][None]
+            for j, w in enumerate(widths):
+                blade, sign = tables[j][w]
+                i = next(spin1) if w == 3 else [0]
+                f = (f[:, None] + strides[j] * blade[:, i]).reshape(-1, n)
+                v = (v[:, None] * sign[:, i]).reshape(-1, n)
+            parts.append((f.ravel(), np.repeat(cols + np.arange(len(f)), n), v.ravel()))
+            cols += len(f)
+    flat, col, val = map(np.concatenate, zip(*parts))
+    return flat, col, val, cols
+
+
+def _mirror_even(alg, gs, flat, col, cols):
+    """Mask of the invariant columns, given by their entries as
+    _invariant_entries lists them, that the mirror leaves unchanged.
+    rho(mirror) is a diagonal of signs (checked), so the mirror multiplies
+    each map entry by the product of its index signs: a column is even
+    when none of its entries flips, odd when all of them do, and raises
+    when it is neither."""
     r = rho(alg, mirror_versor(alg))
     if not np.array_equal(np.abs(r), np.eye(alg.size)):
         raise AssertionError(f"{alg.name} mirror is not a diagonal of signs")
     grades = (gs.output_grade,) + gs.input_grades
-    signs = [np.diag(r)[alg.grade_indices(g)] for g in grades]
-    flips = functools.reduce(np.multiply.outer, signs).ravel() < 0
-    flat = block.reshape(flips.size, -1)
-    even, odd = ~flat[flips].any(axis=0), ~flat[~flips].any(axis=0)
+    index = np.unravel_index(flat, [len(alg.grade_indices(g)) for g in grades])
+    signs = [np.diag(r)[alg.grade_indices(g)][i] for g, i in zip(grades, index)]
+    sign = np.prod(signs, axis=0)
+    even = np.bincount(col, sign < 0, minlength=cols) == 0
+    odd = np.bincount(col, sign > 0, minlength=cols) == 0
     if not (even | odd).all():
         raise AssertionError(
             f"{alg.name} slice {gs.input_grades}->{gs.output_grade}: an "
@@ -678,29 +637,38 @@ def _mirror_even(alg, gs, block):
 
 def _reduced_stack(alg, group, gs):
     """The T_z rows on the invariant basis, for e3 on its mirror-even
-    columns only, built block by block: each block keeps its nonzero rows,
-    and blocks are merged by row number, so memory follows the kept rows,
-    not the full basis."""
-    op = _SliceOperator(alg, gs, _GENERATING_SET)
+    columns only.  Each basis entry is moved along each axis through T_z's
+    grade block, by T[o, b] on the output axis and by -T[b, o] on an input
+    axis; the stack keeps the rows that some entry reaches, so its size
+    follows the constraints, not the basis."""
+    grades = (gs.output_grade,) + gs.input_grades
+    flat, col, val, cols = _invariant_entries(alg, grades)
+    if group == "e3":
+        # (M - I) B x = B (D - I) x with D = +-1 per column, and B has full
+        # column rank: the mirror constraint drops the odd columns
+        even = _mirror_even(alg, gs, flat, col, cols)
+        keep = even[col]
+        flat, col, val = flat[keep], (np.cumsum(even) - 1)[col[keep]], val[keep]
+        cols = int(np.count_nonzero(even))
+    terms = _generator_blocks(alg, "se3", _GENERATING_SET)
+    if not terms:  # no translation (ega): nothing constrains the columns
+        return np.zeros((0, cols))
+    dims = [len(alg.grade_indices(g)) for g in grades]
+    index = np.unravel_index(flat, dims)
     parts = []
-    for block in _invariant_blocks(alg, gs):
-        if group == "e3":
-            # (M - I) B x = B (D - I) x with D = +-1 per column, and B has
-            # full column rank: the mirror constraint drops the odd columns
-            block = block[..., _mirror_even(alg, gs, block)]
-        parts.append(op.stack(block))
-    if len(parts) == 1:
-        return parts[0][1]
-    kept = np.zeros(len(op.terms) * op.vec, dtype=bool)
-    for index, _ in parts:
-        kept[index] = True
-    at = np.cumsum(kept) - 1
-    stack = np.zeros((np.count_nonzero(kept), sum(r.shape[1] for _, r in parts)))
-    start = 0
-    for index, rows in parts:
-        stack[at[index], start : start + rows.shape[1]] = rows
-        start += rows.shape[1]
-    return stack
+    for k, (_, blocks) in enumerate(terms):
+        for j, (g, i) in enumerate(zip(grades, index)):
+            # the entry at index b moves to o with weight move[o, b]
+            move = blocks[g] if j == 0 else -blocks[g].T
+            o, e = np.nonzero(move[:, i])
+            moved = [a[e] for a in index]
+            moved[j] = o
+            row = k * math.prod(dims) + np.ravel_multi_index(moved, dims)
+            parts.append((row, col[e], val[e] * move[o, i[e]]))
+    rows, at, weights = map(np.concatenate, zip(*parts))
+    rows, row = np.unique(rows, return_inverse=True)
+    stack = np.bincount(row * cols + at, weights, minlength=rows.size * cols)
+    return stack.reshape(rows.size, cols)
 
 
 def solve_multilinear_dim(
@@ -718,10 +686,10 @@ def solve_multilinear_dim(
     singular value decomposition of the z translation constraints on an
     integer basis of the slice's rotation-invariant subspace, for e3 on
     its mirror-even columns only (no column: 0; no constraint row: the
-    column count).  The basis is built in column blocks of bounded size
-    and only the nonzero constraint rows of each are kept, so the largest
-    arity-4 conformal slice (100 000 entries) takes about 40 s and 1.2 GB
-    for se3, and about 16 s and 0.45 GB for e3.
+    column count).  The constraint rows are built from the basis's nonzero
+    entries and only the rows they reach are kept, so the largest arity-4
+    conformal slice (100 000 entries) takes about 27 s and 1.2 GB for
+    se3, nearly all of it the SVD, and about 4 s and 0.33 GB for e3.
     method="dense" takes the singular values of the full stacked
     constraint matrix, the reference the reduced solve is checked against.
     """
@@ -1052,7 +1020,7 @@ def verify_conjecture(
     somewhere for the projective algebra without it.  Arities 3 and 4 for
     the larger algebras run only with long=True; the conformal algebra at
     arity 4 additionally needs include_heavy=True (each of its ten
-    100 000-entry slices takes about a minute to solve).  At arity 4,
+    100 000-entry slices takes about half a minute to solve).  At arity 4,
     slices over entry_cap are skipped.
     """
     if not 2 <= l_max <= 4:

@@ -5,7 +5,6 @@ import math
 import os
 import pathlib
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,15 +22,14 @@ from gaeq.groups import (
     random_group_element,
     rho,
 )
-from gaeq import solver
 from gaeq.solver import (
     EquivarianceSpotCheckWarning,
     GradeSlice,
-    _slice_stack,
-    _SliceOperator,
     _GENERATING_SET,
-    _invariant_blocks,
+    _generator_blocks,
+    _invariant_entries,
     _mirror_even,
+    _reduced_stack,
     _so3_invariants,
     _spot_check_generic_generator,
     _spin_pieces,
@@ -300,26 +298,6 @@ def test_method_tiers_agree(cga, group):
     assert dims["dense"] == dims[None]
 
 
-@pytest.mark.parametrize("group", ["se3", "e3"])
-def test_slice_operator_gram_matches_dense_stack(pga, group):
-    # the axis-by-axis operator against the Kronecker rows of constraint_rows:
-    # on every entry against the se3 stack, which holds the Lie rows alone;
-    # on the mirror-even invariant columns against the e3 stack, whose mirror
-    # rows vanish there
-    gs = GradeSlice((1, 2), 2)  # 144 flattened entries
-    op = _SliceOperator(pga, gs)
-    ins, n_out = gs.subspace_dims(pga)
-    cols = np.eye(op.vec).reshape((n_out, *ins, op.vec))
-    if group == "e3":
-        cols = invariant_basis(pga, gs)
-        cols = cols[..., _mirror_even(pga, gs, cols)]
-    stack = _slice_stack(pga, group, gs) @ cols.reshape(op.vec, -1)
-    want = stack.T @ stack
-    rows = op.stack(cols)[1]
-    got = rows.T @ rows
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
 @pytest.mark.parametrize("output, dims", [(1, (69, 38)), (2, (108, 56))])
 def test_large_slices_keep_eigensolver_dims(cga, output, dims):
@@ -329,15 +307,24 @@ def test_large_slices_keep_eigensolver_dims(cga, output, dims):
     assert tuple(solve_multilinear_dim(cga, g, gs) for g in ("se3", "e3")) == dims
 
 
-@pytest.mark.skipif(
-    os.environ.get("GAEQ_LONG") != "1", reason="about a minute; set GAEQ_LONG=1"
-)
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
-def test_largest_arity4_slice_dims(cga):
-    # 100 000 entries: the invariant basis comes in dozens of column blocks,
-    # so this pins the merge of many blocks' rows at the largest size
-    gs = GradeSlice((2, 2, 2, 2), 2)
-    assert tuple(solve_multilinear_dim(cga, g, gs) for g in ("se3", "e3")) == (292, 146)
+@pytest.mark.parametrize(
+    "group, dim",
+    [
+        ("e3", 146),
+        pytest.param(
+            "se3",
+            292,
+            marks=pytest.mark.skipif(
+                os.environ.get("GAEQ_LONG") != "1",
+                reason="about 30 s; set GAEQ_LONG=1",
+            ),
+        ),
+    ],
+)
+def test_largest_arity4_slice_dims(cga, group, dim):
+    # 100 000 entries, the largest conformal slice at arity 4
+    assert solve_multilinear_dim(cga, group, GradeSlice((2, 2, 2, 2), 2)) == dim
 
 
 def arity2_slices(alg, ordered, max_entries=None):
@@ -387,11 +374,27 @@ def character_count(alg, gs):
     return np.count_nonzero(total == 0) - np.count_nonzero(total == 1)
 
 
+def invariant_entries(alg, gs):
+    return _invariant_entries(alg, (gs.output_grade,) + gs.input_grades)
+
+
 def invariant_basis(alg, gs):
-    """Every column of the invariant basis, its blocks side by side."""
+    """The invariant basis as a dense (n_out, *in_dims, cols) tensor."""
     ins, n_out = gs.subspace_dims(alg)
-    blocks = [np.zeros((n_out, *ins, 0)), *_invariant_blocks(alg, gs)]
-    return np.concatenate(blocks, axis=-1)
+    flat, col, val, cols = invariant_entries(alg, gs)
+    q = np.zeros((n_out * math.prod(ins), cols))
+    q[flat, col] = val
+    return q.reshape((n_out, *ins, cols))
+
+
+def mirror_even(alg, gs):
+    flat, col, _, cols = invariant_entries(alg, gs)
+    return _mirror_even(alg, gs, flat, col, cols)
+
+
+def apply_axis(t, m, axis):
+    """Contract the matrix m into the given tensor axis of t."""
+    return np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
 
 
 @pytest.mark.parametrize("name", ["ega", "pga", "cga"])
@@ -421,15 +424,23 @@ def test_invariant_basis_is_rotation_invariant(name, inputs, output, cols):
     gs = GradeSlice(inputs, output)
     q = invariant_basis(alg, gs)
     assert q.shape[-1] == cols
-    # integer columns: every rotation row comes out exactly zero and is dropped
-    rotations = _SliceOperator(alg, gs, ("Lz", "Lx", "Ly"))
-    assert rotations.stack(q)[1].shape == (0, q.shape[-1])
+    # integer columns: every rotation constraint comes out exactly zero, the
+    # rotation's grade block applied on the output axis minus its transpose
+    # on every input axis
+    indices = [alg.grade_indices(g) for g in (output, *inputs)]
+    for x in lie_generators(alg)[:3]:
+        d = drho(alg, x)
+        image = sum(
+            apply_axis(q, m if axis == 0 else -m.T, axis)
+            for axis, m in enumerate(d[np.ix_(i, i)] for i in indices)
+        )
+        assert not image.any()
     flat = q.reshape(-1, q.shape[-1])
     assert np.linalg.matrix_rank(flat) == q.shape[-1]
 
 
 def loop_invariant_basis(alg, gs):
-    """Reference form of _invariant_blocks: one tensordot per piece, per
+    """Reference form of _invariant_entries: one tensordot per piece, per
     choice of one piece per axis."""
     grades = (gs.output_grade,) + gs.input_grades
     dims = tuple(len(alg.grade_indices(g)) for g in grades)
@@ -503,45 +514,43 @@ def test_invariant_columns_are_mirror_eigenvectors(name, slices):
     for gs in slices:
         indices = map(alg.grade_indices, (gs.output_grade,) + gs.input_grades)
         grade_blocks = [r[np.ix_(i, i)] for i in indices]
-        for block in _invariant_blocks(alg, gs):
-            # r on the output axis, r^-T = r^T on every input axis
-            moved = block
-            for axis, m in enumerate(grade_blocks):
-                m = m if axis == 0 else m.T
-                moved = np.moveaxis(np.tensordot(m, moved, axes=(1, axis)), 0, axis)
-            cols = block.shape[-1]
-            flat, image = block.reshape(-1, cols), moved.reshape(-1, cols)
-            even = (image == flat).all(axis=0)
-            odd = (image == -flat).all(axis=0)
-            assert (even | odd).all(), gs
-            assert np.array_equal(_mirror_even(alg, gs, block), even), gs
-            counts += even.sum(), odd.sum()
+        # r on the output axis, r^-T = r^T on every input axis
+        basis = moved = invariant_basis(alg, gs)
+        for axis, m in enumerate(grade_blocks):
+            moved = apply_axis(moved, m if axis == 0 else m.T, axis)
+        entries = math.prod(basis.shape[:-1])
+        flat, image = basis.reshape(entries, -1), moved.reshape(entries, -1)
+        even = (image == flat).all(axis=0)
+        odd = (image == -flat).all(axis=0)
+        assert (even | odd).all(), gs
+        assert np.array_equal(mirror_even(alg, gs), even), gs
+        counts += even.sum(), odd.sum()
     assert counts.min() > 0, counts
 
 
 def test_mixed_parity_column_raises(pga):
     gs = GradeSlice((0, 2), 2)  # two even and two odd invariant columns
-    q = invariant_basis(pga, gs)
-    even = _mirror_even(pga, gs, q)
+    flat, col, _, cols = invariant_entries(pga, gs)
+    even = _mirror_even(pga, gs, flat, col, cols)
     assert even.tolist() == [True, False, False, True]
-    mixed = q[..., :2] + q[..., 2:]
+    # columns 0 + 2 and 1 + 3, each an even column plus an odd one
     with pytest.raises(AssertionError, match=r"pga slice \(0, 2\)->2: .* neither"):
-        _mirror_even(pga, gs, mixed)
+        _mirror_even(pga, gs, flat, col % 2, 2)
 
 
 def test_reduced_edge_cases(ega):
     # no invariant column: a pair of scalars cannot make a vector
     gs = GradeSlice((0, 0), 1)
-    assert list(_invariant_blocks(ega, gs)) == []
+    assert invariant_entries(ega, gs)[3] == 0
     for group in ("se3", "e3"):
         assert solve_multilinear_dim(ega, group, gs) == 0
     # ega has no translation, so no constraint is left on invariant columns
-    assert _SliceOperator(ega, gs, _GENERATING_SET).terms == []
+    assert _generator_blocks(ega, "se3", _GENERATING_SET) == []
     # the dot product is mirror-even and kept; the cross product is
     # mirror-odd and cut
     dot, cross = GradeSlice((1, 1), 0), GradeSlice((1, 1), 1)
-    assert _mirror_even(ega, dot, invariant_basis(ega, dot)).tolist() == [True]
-    assert _mirror_even(ega, cross, invariant_basis(ega, cross)).tolist() == [False]
+    assert mirror_even(ega, dot).tolist() == [True]
+    assert mirror_even(ega, cross).tolist() == [False]
     dims = {(g, gs): solve_multilinear_dim(ega, g, gs) for g in GROUPS for gs in (dot, cross)}
     assert dims == {("se3", dot): 1, ("se3", cross): 1, ("e3", dot): 1, ("e3", cross): 0}
 
@@ -564,22 +573,39 @@ SMALL_SLICES = list(small_slices(600))
 
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
 @settings(max_examples=120, deadline=None)
-@given(
-    case=st.sampled_from(SMALL_SLICES),
-    group=st.sampled_from(["se3", "e3"]),
-    block_cols=st.sampled_from([None, 3]),
-)
-def test_reduced_matches_dense_property(case, group, block_cols):
-    # block_cols=3 caps the basis blocks at three columns where the split
-    # allows, so the solve merges the rows of many blocks
+@given(case=st.sampled_from(SMALL_SLICES), group=st.sampled_from(["se3", "e3"]))
+def test_reduced_matches_dense_property(case, group):
     name, gs = case
     want = solve_multilinear_dim(name, group, gs, method="dense")
-    budget = solver._BLOCK_BYTES
-    if block_cols is not None:
-        ins, n_out = gs.subspace_dims(get_algebra(name))
-        budget = 8 * n_out * math.prod(ins) * block_cols
-    with mock.patch.object(solver, "_BLOCK_BYTES", budget):
-        assert solve_multilinear_dim(name, group, gs) == want
+    assert solve_multilinear_dim(name, group, gs) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(SMALL_SLICES), group=st.sampled_from(["se3", "e3"]))
+def test_reduced_stack_gram_matches_kronecker_rows(case, group):
+    # the index arithmetic against the Kronecker T_z rows of constraint_rows
+    # applied to the dense invariant basis (for e3 its mirror-even columns):
+    # equal Gram matrices, entry by entry
+    name, gs = case
+    alg = get_algebra(name)
+    basis = invariant_basis(alg, gs)
+    if group == "e3":
+        basis = basis[..., mirror_even(alg, gs)]
+    basis = basis.reshape(math.prod(basis.shape[:-1]), -1)
+    want = np.zeros((basis.shape[1],) * 2)
+    gens = lie_generators(alg)
+    if len(gens) == 6:  # rotations, then x, y, z translations; ega has none
+        tz = drho(alg, gens[5])
+        out, *ins = [
+            RepMatrix(tz[np.ix_(i, i)], "lie")
+            for i in map(alg.grade_indices, (gs.output_grade,) + gs.input_grades)
+        ]
+        rows = constraint_rows(out, ins) @ basis
+        want = rows.T @ rows
+    stack = _reduced_stack(alg, group, gs)
+    got = stack.T @ stack
+    scale = max(np.abs(want).max(initial=0.0), 1.0)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
 
 @settings(max_examples=60, deadline=None)
