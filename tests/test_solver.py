@@ -580,14 +580,10 @@ def test_reduced_matches_dense_property(case, group):
     assert solve_multilinear_dim(name, group, gs) == want
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=st.sampled_from(SMALL_SLICES), group=st.sampled_from(["se3", "e3"]))
-def test_reduced_stack_gram_matches_kronecker_rows(case, group):
+def assert_reduced_gram_matches_kronecker_rows(alg, group, gs):
     # the index arithmetic against the Kronecker T_z rows of constraint_rows
     # applied to the dense invariant basis (for e3 its mirror-even columns):
     # equal Gram matrices, entry by entry
-    name, gs = case
-    alg = get_algebra(name)
     basis = invariant_basis(alg, gs)
     if group == "e3":
         basis = basis[..., mirror_even(alg, gs)]
@@ -606,6 +602,19 @@ def test_reduced_stack_gram_matches_kronecker_rows(case, group):
     got = stack.T @ stack
     scale = max(np.abs(want).max(initial=0.0), 1.0)
     assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("group", ["se3", "e3"])
+def test_slice_operator_gram_matches_dense_stack(pga, group):
+    # a fixed mixed-grade slice with nonzero T_z rows: 144 flattened entries
+    assert_reduced_gram_matches_kronecker_rows(pga, group, GradeSlice((1, 2), 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(SMALL_SLICES), group=st.sampled_from(["se3", "e3"]))
+def test_reduced_stack_gram_matches_kronecker_rows(case, group):
+    name, gs = case
+    assert_reduced_gram_matches_kronecker_rows(get_algebra(name), group, gs)
 
 
 @settings(max_examples=60, deadline=None)
