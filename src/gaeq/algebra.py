@@ -124,6 +124,11 @@ class Algebra:
         self._grade_masks = [
             (self.grades == g).astype(float) for g in range(self.n + 1)
         ]
+        self._grade_indices = [
+            np.flatnonzero(self.grades == g) for g in range(self.n + 1)
+        ]
+        for idx in self._grade_indices:
+            idx.flags.writeable = False
 
         if self.degenerate:
             self._build_join()
@@ -200,7 +205,10 @@ class Algebra:
         return out
 
     def grade_indices(self, k):
-        return np.flatnonzero(self.grades == k)
+        """Ascending blade indices of grade k, a shared read-only array."""
+        if not 0 <= k <= self.n:
+            return np.zeros(0, dtype=int)
+        return self._grade_indices[k]
 
     def unit(self):
         out = np.zeros(self.size)

@@ -16,19 +16,21 @@ Three cooperating pieces:
   grade slice by grade slice.
 
 Solving always works grade slice by grade slice; the full tensor space is
-never materialized.  Every slice is solved by one singular value
-decomposition in reduced coordinates: its columns are an exact integer
-basis of the slice's rotation-invariant subspace (every equivariant map
-lies there), built in closed form from the spin-0 and spin-1 pieces of each
-grade block and the delta/epsilon invariant tensors of SO(3), and its rows
-are the z translation constraints only, applied axis by axis to the basis
-tensor.  The mirror maps every invariant column to itself or to its
-negative, so for the full group it keeps the even columns and adds no row.
-The basis is held as the list of its nonzero entries, each column one per
-nonzero of its invariant tensor, and the constraint moves each entry by
-index arithmetic, so the stack holds only the rows some entry reaches and
-memory follows the constraints, not the basis.  The solver runs on numpy
-alone.
+never materialized.  Every slice is solved in reduced coordinates: its
+columns are an exact integer basis of the slice's rotation-invariant
+subspace (every equivariant map lies there), built in closed form from the
+spin-0 and spin-1 pieces of each grade block and the delta/epsilon
+invariant tensors of SO(3), and its rows are the z translation constraints
+only, applied axis by axis to the basis tensor.  The mirror maps every
+invariant column to itself or to its negative and commutes with the z
+translation, so the constraint stack is block diagonal over the two mirror
+parities: each block gets its own singular value decomposition, the rank
+cut is taken once on their merged spectrum, and the full group keeps the
+even block only and adds no row.  The basis is held as the list of its
+nonzero entries, each column one per nonzero of its invariant tensor, and
+the constraint moves each entry by index arithmetic, so each stack holds
+only the rows some entry reaches and memory follows the constraints, not
+the basis.  The solver runs on numpy alone.
 method="dense" keeps the full stacked constraint matrix of one constraint
 builder, groups.constraint_terms, as the independent reference.  The linear
 basis is solved block by block, as the (d+1)^2 arity-1 slices.  Slices
@@ -146,13 +148,13 @@ def _rank_from_spectrum(s, rel_tol):
     return rank
 
 
-def _nullspace_dense(stack, rel_tol=1e-10):
-    """Dimension of ker(stack)."""
-    m, n = stack.shape
-    if m == 0:
-        return n
-    s = np.linalg.svd(stack, compute_uv=False)
-    return n - _rank_from_spectrum(s, rel_tol)
+def _nullspace_dim(stacks, rel_tol=1e-10):
+    """Dimension of the kernel of the block-diagonal matrix with the given
+    diagonal blocks: one SVD per block, and the rank cut taken once, on the
+    merged descending spectrum, relative to its largest value."""
+    s = [np.linalg.svd(b, compute_uv=False) for b in stacks if b.size]
+    spectrum = np.sort(np.concatenate(s))[::-1] if s else np.zeros(0)
+    return sum(b.shape[1] for b in stacks) - _rank_from_spectrum(spectrum, rel_tol)
 
 
 def _reduce_rows(rows, rel_tol=1e-10, abs_tol=0.0):
@@ -179,7 +181,9 @@ _LIE_NAMES = ("Lz", "Lx", "Ly", "Tx", "Ty", "Tz")
 # the constraints left on rotation-invariant columns: the constraint map is a
 # Lie algebra homomorphism and the rotations' commutators with T_z span T_x
 # and T_y, so T_z generates the rest; the mirror maps each invariant column
-# to plus or minus itself, so for e3 it only selects columns (_mirror_even)
+# to plus or minus itself and commutes with T_z, so it splits the T_z stack
+# into an even and an odd block and for e3 only keeps the even one
+# (_mirror_even, _reduced_stacks)
 _GENERATING_SET = ("Tz",)
 
 
@@ -530,6 +534,13 @@ def _so3_invariants(k):
 
 
 @functools.lru_cache(maxsize=None)
+def _invariant_nonzeros(k):
+    """[(spin-1 axis indices (k, n), values (n,))]: the nonzeros of each
+    _so3_invariants(k) tensor."""
+    return [(np.argwhere(t).T, t[t != 0]) for t in _so3_invariants(k)]
+
+
+@functools.lru_cache(maxsize=None)
 def _spin_pieces(alg):
     """Per grade, the block's rotation pieces as exact signed blade
     selections, stacked by width: {1: (count, n_grade, 1) spin-0 pieces,
@@ -595,11 +606,10 @@ def _invariant_entries(alg, grades):
     # (flat index, column, value) arrays, from no entry on
     parts, cols = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))], 0
     for widths in itertools.product(*tables):
-        for t in _so3_invariants(widths.count(3)):
-            n = np.count_nonzero(t)
-            spin1 = iter(np.argwhere(t).T)
+        for axes, values in _invariant_nonzeros(widths.count(3)):
+            n, spin1 = values.size, iter(axes)
             # (columns so far, n), one axis at a time
-            f, v = np.zeros((1, n), dtype=int), t[t != 0][None]
+            f, v = np.zeros((1, n), dtype=int), values[None]
             for j, w in enumerate(widths):
                 blade, sign = tables[j][w]
                 i = next(spin1) if w == 3 else [0]
@@ -611,22 +621,28 @@ def _invariant_entries(alg, grades):
     return flat, col, val, cols
 
 
-def _mirror_even(alg, gs, flat, col, cols):
-    """Mask of the invariant columns, given by their entries as
-    _invariant_entries lists them, that the mirror leaves unchanged.
-    rho(mirror) is a diagonal of signs (checked), so the mirror multiplies
-    each map entry by the product of its index signs: a column is even
-    when none of its entries flips, odd when all of them do, and raises
-    when it is neither."""
+@functools.lru_cache(maxsize=None)
+def _mirror_flips(alg):
+    """Per grade, which blades of the grade block the mirror negates.
+    rho(mirror) is a diagonal of signs (checked on first use)."""
     r = rho(alg, mirror_versor(alg))
     if not np.array_equal(np.abs(r), np.eye(alg.size)):
         raise AssertionError(f"{alg.name} mirror is not a diagonal of signs")
+    return [np.diag(r)[alg.grade_indices(g)] < 0 for g in range(alg.n + 1)]
+
+
+def _mirror_even(alg, gs, index, col, cols):
+    """Mask of the invariant columns, given by their entries as
+    _invariant_entries lists them (index: the entries' per-axis indices,
+    output axis first), that the mirror leaves unchanged.  The mirror
+    multiplies each map entry by the product of its index signs: a column
+    is even when none of its entries flips, odd when all of them do, and
+    raises when it is neither."""
+    flips = _mirror_flips(alg)
     grades = (gs.output_grade,) + gs.input_grades
-    index = np.unravel_index(flat, [len(alg.grade_indices(g)) for g in grades])
-    signs = [np.diag(r)[alg.grade_indices(g)][i] for g, i in zip(grades, index)]
-    sign = np.prod(signs, axis=0)
-    even = np.bincount(col, sign < 0, minlength=cols) == 0
-    odd = np.bincount(col, sign > 0, minlength=cols) == 0
+    flip = functools.reduce(np.logical_xor, [flips[g][i] for g, i in zip(grades, index)])
+    even = np.bincount(col, flip, minlength=cols) == 0
+    odd = np.bincount(col, ~flip, minlength=cols) == 0
     if not (even | odd).all():
         raise AssertionError(
             f"{alg.name} slice {gs.input_grades}->{gs.output_grade}: an "
@@ -635,40 +651,57 @@ def _mirror_even(alg, gs, flat, col, cols):
     return even
 
 
-def _reduced_stack(alg, group, gs):
-    """The T_z rows on the invariant basis, for e3 on its mirror-even
-    columns only.  Each basis entry is moved along each axis through T_z's
-    grade block, by T[o, b] on the output axis and by -T[b, o] on an input
-    axis; the stack keeps the rows that some entry reaches, so its size
-    follows the constraints, not the basis."""
+def _reduced_stacks(alg, group, gs):
+    """The T_z rows on the invariant basis, one stack per mirror-parity
+    block of its columns: even, then odd; e3 keeps the even block only,
+    since (M - I) B x = B (D - I) x with D = +-1 per column and B of full
+    column rank.  The mirror commutes with T_z and is a diagonal of signs,
+    so T_z moves an entry only to an index of the same sign: even columns
+    reach mirror-even rows only, odd columns odd rows, and the full stack
+    is block diagonal over the two.  Each basis entry is moved along each
+    axis through T_z's grade block, by T[o, b] on the output axis and by
+    -T[b, o] on an input axis; each stack keeps the rows that some entry of
+    its block reaches, so its size follows the constraints, not the
+    basis."""
     grades = (gs.output_grade,) + gs.input_grades
     flat, col, val, cols = _invariant_entries(alg, grades)
-    if group == "e3":
-        # (M - I) B x = B (D - I) x with D = +-1 per column, and B has full
-        # column rank: the mirror constraint drops the odd columns
-        even = _mirror_even(alg, gs, flat, col, cols)
-        keep = even[col]
-        flat, col, val = flat[keep], (np.cumsum(even) - 1)[col[keep]], val[keep]
-        cols = int(np.count_nonzero(even))
     terms = _generator_blocks(alg, "se3", _GENERATING_SET)
-    if not terms:  # no translation (ega): nothing constrains the columns
-        return np.zeros((0, cols))
+    if group == "se3" and not terms:  # ega: nothing constrains the columns
+        return [np.zeros((0, cols))]
     dims = [len(alg.grade_indices(g)) for g in grades]
     index = np.unravel_index(flat, dims)
+    even = _mirror_even(alg, gs, index, col, cols)
+    parities = [even] if group == "e3" else [even, ~even]
+    if not terms:  # ega, e3
+        return [np.zeros((0, np.count_nonzero(even)))]
+    strides = np.cumprod([1] + dims[:0:-1])[::-1]
     parts = []
     for k, (_, blocks) in enumerate(terms):
         for j, (g, i) in enumerate(zip(grades, index)):
             # the entry at index b moves to o with weight move[o, b]
             move = blocks[g] if j == 0 else -blocks[g].T
             o, e = np.nonzero(move[:, i])
-            moved = [a[e] for a in index]
-            moved[j] = o
-            row = k * math.prod(dims) + np.ravel_multi_index(moved, dims)
-            parts.append((row, col[e], val[e] * move[o, i[e]]))
+            b = i[e]
+            row = k * math.prod(dims) + flat[e] + (o - b) * strides[j]
+            parts.append((row, col[e], val[e] * move[o, b]))
     rows, at, weights = map(np.concatenate, zip(*parts))
-    rows, row = np.unique(rows, return_inverse=True)
-    stack = np.bincount(row * cols + at, weights, minlength=rows.size * cols)
-    return stack.reshape(rows.size, cols)
+    stacks = []
+    for block in parities:
+        keep = block[at]
+        n = int(np.count_nonzero(block))
+        # the distinct rows reached, and each entry's position among them, by
+        # a sort and a search: np.unique's inverse takes twice as long on the
+        # small stacks of most slices
+        moved = rows[keep]
+        reached = np.sort(moved)
+        first = np.ones(reached.size, dtype=bool)
+        first[1:] = reached[1:] != reached[:-1]
+        reached = reached[first]
+        row = np.searchsorted(reached, moved)
+        at_block = (np.cumsum(block) - 1)[at[keep]]
+        stack = np.bincount(row * n + at_block, weights[keep], minlength=reached.size * n)
+        stacks.append(stack.reshape(reached.size, n))
+    return stacks
 
 
 def solve_multilinear_dim(
@@ -682,14 +715,15 @@ def solve_multilinear_dim(
 ):
     """Dimension of the equivariant maps on one grade slice.
 
-    By default ("reduced") the slice is solved in reduced coordinates: one
-    singular value decomposition of the z translation constraints on an
-    integer basis of the slice's rotation-invariant subspace, for e3 on
-    its mirror-even columns only (no column: 0; no constraint row: the
-    column count).  The constraint rows are built from the basis's nonzero
-    entries and only the rows they reach are kept, so the largest arity-4
-    conformal slice (100 000 entries) takes about 27 s and 1.2 GB for
-    se3, nearly all of it the SVD, and about 4 s and 0.33 GB for e3.
+    By default ("reduced") the slice is solved in reduced coordinates: the
+    z translation constraints on an integer basis of the slice's
+    rotation-invariant subspace, one singular value decomposition per
+    mirror-parity block of its columns, for e3 on the even block only (no
+    column: 0; no constraint row: the column count).  The constraint rows
+    are built from the basis's nonzero entries and only the rows they
+    reach are kept, so the largest arity-4 conformal slice (100 000
+    entries) takes about 7.5 s and 0.47 GB for se3, nearly all of it the
+    two SVDs, and about 4 s and 0.33 GB for e3.
     method="dense" takes the singular values of the full stacked
     constraint matrix, the reference the reduced solve is checked against.
     """
@@ -699,15 +733,15 @@ def solve_multilinear_dim(
         grade_slice = GradeSlice(*grade_slice)
     grade_slice.validate(alg)
     ins, n_out = grade_slice.subspace_dims(alg)
-    vec = n_out * int(np.prod(ins))
+    vec = n_out * math.prod(ins)
     if vec > entry_cap:
         raise SliceTooLargeError(
             f"slice too large: {vec} map entries exceeds the cap {entry_cap}"
         )
     if method is None or method == "reduced":
-        return _nullspace_dense(_reduced_stack(alg, group, grade_slice), rel_tol)
+        return _nullspace_dim(_reduced_stacks(alg, group, grade_slice), rel_tol)
     if method == "dense":
-        return _nullspace_dense(_slice_stack(alg, group, grade_slice), rel_tol)
+        return _nullspace_dim([_slice_stack(alg, group, grade_slice)], rel_tol)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -1020,7 +1054,7 @@ def verify_conjecture(
     somewhere for the projective algebra without it.  Arities 3 and 4 for
     the larger algebras run only with long=True; the conformal algebra at
     arity 4 additionally needs include_heavy=True (each of its ten
-    100 000-entry slices takes about half a minute to solve).  At arity 4,
+    100 000-entry slices takes about 7 s to solve).  At arity 4,
     slices over entry_cap are skipped.
     """
     if not 2 <= l_max <= 4:

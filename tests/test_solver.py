@@ -2,7 +2,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import pathlib
 import warnings
 
@@ -29,7 +28,7 @@ from gaeq.solver import (
     _generator_blocks,
     _invariant_entries,
     _mirror_even,
-    _reduced_stack,
+    _reduced_stacks,
     _so3_invariants,
     _spot_check_generic_generator,
     _spin_pieces,
@@ -308,20 +307,7 @@ def test_large_slices_keep_eigensolver_dims(cga, output, dims):
 
 
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
-@pytest.mark.parametrize(
-    "group, dim",
-    [
-        ("e3", 146),
-        pytest.param(
-            "se3",
-            292,
-            marks=pytest.mark.skipif(
-                os.environ.get("GAEQ_LONG") != "1",
-                reason="about 30 s; set GAEQ_LONG=1",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("group, dim", [("e3", 146), ("se3", 292)])
 def test_largest_arity4_slice_dims(cga, group, dim):
     # 100 000 entries, the largest conformal slice at arity 4
     assert solve_multilinear_dim(cga, group, GradeSlice((2, 2, 2, 2), 2)) == dim
@@ -387,9 +373,15 @@ def invariant_basis(alg, gs):
     return q.reshape((n_out, *ins, cols))
 
 
+def entry_index(alg, gs, flat):
+    """Per-axis indices of flat map entries, output axis first."""
+    ins, n_out = gs.subspace_dims(alg)
+    return np.unravel_index(flat, (n_out, *ins))
+
+
 def mirror_even(alg, gs):
     flat, col, _, cols = invariant_entries(alg, gs)
-    return _mirror_even(alg, gs, flat, col, cols)
+    return _mirror_even(alg, gs, entry_index(alg, gs, flat), col, cols)
 
 
 def apply_axis(t, m, axis):
@@ -531,11 +523,34 @@ def test_invariant_columns_are_mirror_eigenvectors(name, slices):
 def test_mixed_parity_column_raises(pga):
     gs = GradeSlice((0, 2), 2)  # two even and two odd invariant columns
     flat, col, _, cols = invariant_entries(pga, gs)
-    even = _mirror_even(pga, gs, flat, col, cols)
+    index = entry_index(pga, gs, flat)
+    even = _mirror_even(pga, gs, index, col, cols)
     assert even.tolist() == [True, False, False, True]
     # columns 0 + 2 and 1 + 3, each an even column plus an odd one
     with pytest.raises(AssertionError, match=r"pga slice \(0, 2\)->2: .* neither"):
-        _mirror_even(pga, gs, flat, col % 2, 2)
+        _mirror_even(pga, gs, index, col % 2, 2)
+
+
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+@pytest.mark.parametrize("name", ["ega", "cga"])
+def test_se3_odd_block_matches_e3_dims_through_pseudoscalar(name):
+    # the se3 solve's odd block against the e3 golden, which only the even
+    # blocks produce: the pseudoscalar I of ega and cga is central,
+    # invertible and mirror-odd, and moves grade k to n - k, so left
+    # multiplication by I maps the mirror-odd maps ins -> out one to one
+    # onto the mirror-even maps ins -> n - out, and
+    # dim_se3(ins -> out) = dim_e3(ins -> out) + dim_e3(ins -> n - out).
+    # pga is left out: its pseudoscalar e0123 squares to zero, so
+    # multiplying by it is not invertible, and 57 of its 275 slices break
+    # the identity
+    with open(GOLDEN_DIR / "null_dims_e3.json") as fh:
+        rows = [r for r in json.load(fh) if r["algebra"] == name]
+    e3 = {(tuple(r["inputs"]), r["output"]): r["nullspace_dim"] for r in rows}
+    n = get_algebra(name).n
+    assert len(e3) == {"ega": 136, "cga": 498}[name]
+    for (ins, out), dim in e3.items():
+        se3 = solve_multilinear_dim(name, "se3", GradeSlice(ins, out))
+        assert se3 == dim + e3[(ins, n - out)], (ins, out)
 
 
 def test_reduced_edge_cases(ega):
@@ -582,11 +597,10 @@ def test_reduced_matches_dense_property(case, group):
 
 def assert_reduced_gram_matches_kronecker_rows(alg, group, gs):
     # the index arithmetic against the Kronecker T_z rows of constraint_rows
-    # applied to the dense invariant basis (for e3 its mirror-even columns):
-    # equal Gram matrices, entry by entry
+    # applied to the dense invariant basis: their Gram matrix has an exactly
+    # zero even x odd block, and each parity block (for e3 the even one only)
+    # equals the Gram matrix of its stack, entry by entry
     basis = invariant_basis(alg, gs)
-    if group == "e3":
-        basis = basis[..., mirror_even(alg, gs)]
     basis = basis.reshape(math.prod(basis.shape[:-1]), -1)
     want = np.zeros((basis.shape[1],) * 2)
     gens = lie_generators(alg)
@@ -598,10 +612,20 @@ def assert_reduced_gram_matches_kronecker_rows(alg, group, gs):
         ]
         rows = constraint_rows(out, ins) @ basis
         want = rows.T @ rows
-    stack = _reduced_stack(alg, group, gs)
-    got = stack.T @ stack
-    scale = max(np.abs(want).max(initial=0.0), 1.0)
-    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+    stacks = _reduced_stacks(alg, group, gs)
+    if alg.name == "ega" and group == "se3":
+        # no T_z and no mirror: one empty stack, parity never computed
+        assert [s.shape for s in stacks] == [(0, basis.shape[1])]
+        return
+    even = mirror_even(alg, gs)
+    assert not want[np.ix_(even, ~even)].any()
+    parities = [even] if group == "e3" else [even, ~even]
+    assert len(stacks) == len(parities)
+    for block, stack in zip(parities, stacks):
+        got = stack.T @ stack
+        block_want = want[np.ix_(block, block)]
+        scale = max(np.abs(block_want).max(initial=0.0), 1.0)
+        assert np.abs(got - block_want).max(initial=0.0) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("group", ["se3", "e3"])
