@@ -234,28 +234,31 @@ def get_algebra(name):
 # -- products -------------------------------------------------------------
 
 
-# rows per block of the product kernel: the (rows, n*n) outer-product
-# temporary of a cga block stays at 512 KB whatever the batch size
+# rows per block of the product kernel: the (rows, n, n) left-multiplication
+# maps of a cga block stay at 512 KB whatever the batch size; on 2048 rows of
+# pga and cga (BLAS at one thread) 64 to 128 rows ran fastest, 32 and 256
+# slower
 _BLOCK_ROWS = 64
 
 
 def _bilinear(x, y, tensor):
     """z_k = sum_ab tensor[a, b, k] x_a y_b, broadcasting over leading axes.
 
-    The leading axes are flattened to rows; each block of rows takes the
-    outer product of its x and y coefficients and multiplies it by the
-    (n*n, n) reshaped structure tensor.
+    The leading axes are flattened to rows; each block of rows applies the
+    left-multiplication maps of the basis blades to its y coefficients in
+    one GEMM, m[r, a, k] = sum_b tensor[a, b, k] y_b, then contracts each
+    row's (n, n) map with its x coefficients in a batched matvec.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     n = tensor.shape[-1]
     lead = x.shape[:-1]
     xr, yr = x.reshape(-1, n), y.reshape(-1, n)
-    flat = tensor.reshape(n * n, n)
+    left = tensor.transpose(1, 0, 2).reshape(n, n * n)
     out = np.empty((xr.shape[0], n))
     for start in range(0, xr.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        outer = xr[rows, :, None] * yr[rows, None, :]
-        np.matmul(outer.reshape(-1, n * n), flat, out=out[rows])
+        maps = (yr[rows] @ left).reshape(-1, n, n)
+        np.matmul(xr[rows, None, :], maps, out=out[rows, None, :])
     return out.reshape(lead + (n,))
 
 

@@ -151,10 +151,17 @@ def _rank_from_spectrum(s, rel_tol):
 def _nullspace_dim(stacks, rel_tol=1e-10):
     """Dimension of the kernel of the block-diagonal matrix with the given
     diagonal blocks: one SVD per block, and the rank cut taken once, on the
-    merged descending spectrum, relative to its largest value."""
-    s = [np.linalg.svd(b, compute_uv=False) for b in stacks if b.size]
+    merged descending spectrum, relative to its largest value.  The blocks
+    may come from a generator: each is released before the next is taken,
+    so only one block and its SVD workspace are alive at a time."""
+    s, cols = [], 0
+    for b in stacks:
+        cols += b.shape[1]
+        if b.size:
+            s.append(np.linalg.svd(b, compute_uv=False))
+        del b
     spectrum = np.sort(np.concatenate(s))[::-1] if s else np.zeros(0)
-    return sum(b.shape[1] for b in stacks) - _rank_from_spectrum(spectrum, rel_tol)
+    return cols - _rank_from_spectrum(spectrum, rel_tol)
 
 
 def _reduce_rows(rows, rel_tol=1e-10, abs_tol=0.0):
@@ -652,10 +659,10 @@ def _mirror_even(alg, gs, index, col, cols):
 
 
 def _reduced_stacks(alg, group, gs):
-    """The T_z rows on the invariant basis, one stack per mirror-parity
-    block of its columns: even, then odd; e3 keeps the even block only,
-    since (M - I) B x = B (D - I) x with D = +-1 per column and B of full
-    column rank.  The mirror commutes with T_z and is a diagonal of signs,
+    """Yield the T_z rows on the invariant basis, one stack per
+    mirror-parity block of its columns: even, then odd; e3 keeps the even
+    block only, since (M - I) B x = B (D - I) x with D = +-1 per column and
+    B of full column rank.  The mirror commutes with T_z and is a diagonal of signs,
     so T_z moves an entry only to an index of the same sign: even columns
     reach mirror-even rows only, odd columns odd rows, and the full stack
     is block diagonal over the two.  Each basis entry is moved along each
@@ -667,13 +674,15 @@ def _reduced_stacks(alg, group, gs):
     flat, col, val, cols = _invariant_entries(alg, grades)
     terms = _generator_blocks(alg, "se3", _GENERATING_SET)
     if group == "se3" and not terms:  # ega: nothing constrains the columns
-        return [np.zeros((0, cols))]
+        yield np.zeros((0, cols))
+        return
     dims = [len(alg.grade_indices(g)) for g in grades]
     index = np.unravel_index(flat, dims)
     even = _mirror_even(alg, gs, index, col, cols)
     parities = [even] if group == "e3" else [even, ~even]
     if not terms:  # ega, e3
-        return [np.zeros((0, np.count_nonzero(even)))]
+        yield np.zeros((0, np.count_nonzero(even)))
+        return
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
     parts = []
     for k, (_, blocks) in enumerate(terms):
@@ -685,23 +694,31 @@ def _reduced_stacks(alg, group, gs):
             row = k * math.prod(dims) + flat[e] + (o - b) * strides[j]
             parts.append((row, col[e], val[e] * move[o, b]))
     rows, at, weights = map(np.concatenate, zip(*parts))
-    stacks = []
+    # the generator stays suspended through the caller's SVDs: drop what it
+    # holds, and split off each block's moved entries before any stack is
+    # built, so that only the blocks still to come stay alive
+    del parts, o, e, b, row
+    pending = [(rows[keep], at[keep], weights[keep]) for keep in (p[at] for p in parities)]
+    del rows, at, weights
     for block in parities:
-        keep = block[at]
-        n = int(np.count_nonzero(block))
-        # the distinct rows reached, and each entry's position among them, by
-        # a sort and a search: np.unique's inverse takes twice as long on the
-        # small stacks of most slices
-        moved = rows[keep]
-        reached = np.sort(moved)
-        first = np.ones(reached.size, dtype=bool)
-        first[1:] = reached[1:] != reached[:-1]
-        reached = reached[first]
-        row = np.searchsorted(reached, moved)
-        at_block = (np.cumsum(block) - 1)[at[keep]]
-        stack = np.bincount(row * n + at_block, weights[keep], minlength=reached.size * n)
-        stacks.append(stack.reshape(reached.size, n))
-    return stacks
+        yield _parity_stack(block, *pending.pop(0))
+
+
+def _parity_stack(block, rows, at, weights):
+    """The stack of one parity block (mask of its columns) from its moved
+    entries: their rows, columns and weights.  The distinct rows reached,
+    and each entry's position among them, come from a sort and a search:
+    np.unique's inverse takes twice as long on the small stacks of most
+    slices."""
+    n = int(np.count_nonzero(block))
+    reached = np.sort(rows)
+    first = np.ones(reached.size, dtype=bool)
+    first[1:] = reached[1:] != reached[:-1]
+    reached = reached[first]
+    row = np.searchsorted(reached, rows)
+    at_block = (np.cumsum(block) - 1)[at]
+    stack = np.bincount(row * n + at_block, weights, minlength=reached.size * n)
+    return stack.reshape(reached.size, n)
 
 
 def solve_multilinear_dim(
@@ -722,8 +739,9 @@ def solve_multilinear_dim(
     column: 0; no constraint row: the column count).  The constraint rows
     are built from the basis's nonzero entries and only the rows they
     reach are kept, so the largest arity-4 conformal slice (100 000
-    entries) takes about 7.5 s and 0.47 GB for se3, nearly all of it the
-    two SVDs, and about 4 s and 0.33 GB for e3.
+    entries) takes about 7.5 s and 0.34 GB for se3, nearly all of it the
+    two SVDs, taken one block at a time, and about 4 s and 0.33 GB for
+    e3.
     method="dense" takes the singular values of the full stacked
     constraint matrix, the reference the reduced solve is checked against.
     """

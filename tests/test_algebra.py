@@ -77,8 +77,8 @@ def test_product_against_brute_force_multiplier(any_algebra, rng):
 
 
 # (x shape, y shape) with None for the blade axis: a broadcast (T, C, n) x (n,)
-# pair, 67 rows (more than one 64-row block of the kernel, not a multiple of
-# it) and zero tokens
+# pair, 67 rows (one full 64-row block of the kernel and a partial one) and
+# zero tokens; test_kernel_matches_dense_contraction covers the block edges
 BATCH_SHAPES = [
     ((5, 3, None), (None,)),
     ((None,), (5, 3, None)),
@@ -108,6 +108,73 @@ def test_batched_products_match_oracle(name, kernel, oracle, shapes, rng):
     want = [oracle(a, b, squares) for a, b in zip(xb.reshape(-1, alg.size), yb.reshape(-1, alg.size))]
     want = np.reshape(want, xb.shape)
     assert np.abs(got - want).max(initial=0.0) < 1e-12
+
+
+# row counts around the kernel's 64-row blocks: none, one, one short of a
+# block, one block, one over, two blocks and one more
+KERNEL_ROWS = (0, 1, 63, 64, 65, 129)
+# (x shape, y shape) per layout, r for the row count and None for the blade
+# axis: matching rows, x broadcast against rows of y, and an outer broadcast
+# of r x rows against 2 y rows
+KERNEL_LAYOUTS = {
+    "rows": (("r", None), ("r", None)),
+    "x-broadcast": ((None,), ("r", None)),
+    "outer": (("r", 1, None), (2, None)),
+}
+KERNEL_TENSORS = {geometric_product: "gp_tensor", wedge: "wedge_tensor", join: "join_tensor"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from([p.values for p in KERNELS]),
+    rows=st.sampled_from(KERNEL_ROWS),
+    layout=st.sampled_from(sorted(KERNEL_LAYOUTS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_dense_contraction(case, rows, layout, seed):
+    # the product kernel against the dense contraction
+    # z_k = sum_ab T[a, b, k] x_a y_b done by einsum, entry by entry
+    # relative to the same contraction of the magnitudes (a bound on the
+    # rounding of either), and against the oracle on the rows either side
+    # of the first block edge and on the last row
+    name, kernel, oracle = case
+    alg = get_algebra(name)
+    rng = np.random.default_rng(seed)
+    x, y = (
+        rng.uniform(-1, 1, tuple({"r": rows, None: alg.size}.get(d, d) for d in s))
+        for s in KERNEL_LAYOUTS[layout]
+    )
+    tensor = getattr(alg, KERNEL_TENSORS[kernel])
+    got = kernel(alg, x, y)
+    want = np.einsum("...a,...b,abk->...k", x, y, tensor)
+    assert got.shape == want.shape
+    scale = np.einsum("...a,...b,abk->...k", np.abs(x), np.abs(y), np.abs(tensor))
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    xb, yb = (a.reshape(-1, alg.size) for a in np.broadcast_arrays(x, y))
+    flat = got.reshape(-1, alg.size)
+    for r in sorted({i for i in (62, 63, 64, flat.shape[0] - 1) if 0 <= i < flat.shape[0]}):
+        want_r = oracle(xb[r], yb[r], GENERATOR_SQUARES[name])
+        assert np.abs(flat[r] - want_r).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["ega", "pga", "cga"]),
+    rows=st.sampled_from(KERNEL_ROWS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_units_are_exact(name, rows, seed):
+    # the kernel adds only exact zeros around the unit's one term: the
+    # scalar 1 is the geometric product's unit and the pseudoscalar the
+    # join's, bit for bit, on either side
+    alg = get_algebra(name)
+    y = np.random.default_rng(seed).uniform(-1, 1, (rows, alg.size))
+    for a, b in [(alg.unit(), y), (y, alg.unit())]:
+        assert np.array_equal(geometric_product(alg, a, b), y)
+    if alg.degenerate:
+        pseudo = alg.blade("e" + "".join(alg.labels))
+        for a, b in [(pseudo, y), (y, pseudo)]:
+            assert np.array_equal(join(alg, a, b), y)
 
 
 def test_product_associative_on_blades(any_algebra):

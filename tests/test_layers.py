@@ -313,8 +313,8 @@ class TestGeometricBilinear:
             assert np.abs(lhs.mv - rhs.mv).max() / np.abs(rhs.mv).max() < LAYER_TOL
 
     def test_scalar_left_input_reduces_to_projection(self, cga, rng):
-        # gp(1, y) = y, so with x the unit scalar the layer is just the
-        # projection applied to y's channels
+        # gp(1, y) = y bit for bit, so with x the unit scalar the layer is
+        # exactly the projection applied to y's channels
         bil = GeometricBilinear(cga, "e3", channels=3, scalar_channels=2, rng=rng)
         ones = np.zeros((4, 3, cga.size))
         ones[:, :, 0] = 1.0
@@ -323,7 +323,7 @@ class TestGeometricBilinear:
         y = random_channels(cga, rng, channels=3, scalars=2)
         out = bil.apply(x, y)
         direct = bil.proj.apply(MvChannels(cga, y.mv, sx))
-        assert np.allclose(out.mv, direct.mv, atol=1e-14)
+        assert np.array_equal(out.mv, direct.mv)
         assert np.array_equal(out.scalars, direct.scalars)
 
     def test_join_channel_carries_scalar(self, pga):

@@ -612,7 +612,7 @@ def assert_reduced_gram_matches_kronecker_rows(alg, group, gs):
         ]
         rows = constraint_rows(out, ins) @ basis
         want = rows.T @ rows
-    stacks = _reduced_stacks(alg, group, gs)
+    stacks = list(_reduced_stacks(alg, group, gs))
     if alg.name == "ega" and group == "se3":
         # no T_z and no mirror: one empty stack, parity never computed
         assert [s.shape for s in stacks] == [(0, basis.shape[1])]
