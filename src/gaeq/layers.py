@@ -411,86 +411,87 @@ def _check_variant(variant, alg):
         raise ValueError(f"variant {variant!r} is not defined for {alg.name!r}")
 
 
-def _pair_inners(alg, q, k, channel_mask=None):
-    # (Tq, Tk) sum of per-channel invariant inner products
-    qm, km = q.mv, k.mv
-    if channel_mask is not None:
-        qm = qm[:, channel_mask]
-        km = km[:, channel_mask]
-    wq = (qm * alg.inner_weights).reshape(qm.shape[0], -1)
-    return wq @ km.reshape(km.shape[0], -1).T
-
-
-def _vector_part(alg, mv):
-    idx = alg.grade_indices(1)
-    return mv[:, idx]
+def _rows(mv, scalars, weights=None):
+    # (T, C*n + S) feature rows [mv times the inner weights if given, scalars]
+    if weights is not None:
+        mv = mv * weights
+    return np.concatenate([mv.reshape(mv.shape[0], -1), scalars], axis=1)
 
 
 def attn_logits(variant, q, k, point_channels=()):
     """Invariant attention logits between query and key tokens.
 
+    Each variant is one matmul of q's feature rows against k's.
     plain_inner and cga_inner sum channelwise inner products plus the
     scalar dot, scaled by one over the square root of the invariant
-    feature count.  ega_distance reserves the designated point channels
-    for an exact negative squared distance term built from the
-    (norm^2, 2q, 1) / (-1, k, -norm^2) triple, unscaled so the identity
-    is exact.  ip_pga_to_cga adds the conformal inner products of the
-    designated projective point channels mapped to conformal points.  For
-    the null vectors X = o + x + |x|^2 inf / 2 and Y of y that product is
-    <X, Y> = x . y - |x|^2 / 2 - |y|^2 / 2 = -|x - y|^2 / 2, and it is summed
-    in that form from the coordinate differences: projective points with
-    small e123 weights normalize to large coordinates, and the expanded form
-    would cancel terms of size |x|^2 to leave one of size |x - y|^2.
+    feature count: q's rows are its inner-weighted channels and scalars
+    times that scale, k's its channels and scalars.  ega_distance reserves
+    the designated point channels for an exact negative squared distance:
+    each appends the unscaled triple (-|q|^2, 2q, 1) to q's rows and
+    (1, k, -|k|^2) to k's.  ip_pga_to_cga adds the conformal inner products
+    of the designated projective point channels mapped to conformal points.
+    For the null vectors X = o + x + |x|^2 inf / 2 and Y of y that product
+    is <X, Y> = x . y - |x|^2 / 2 - |y|^2 / 2 = -|x - y|^2 / 2, and it stays
+    out of the feature rows on purpose, summed from the coordinate
+    differences: projective points with small e123 weights normalize to
+    large coordinates, and the expanded form would cancel terms of size
+    |x|^2 to leave one of size |x - y|^2.
     """
     alg = q.algebra
     _check_variant(variant, alg)
     if q.channels != k.channels or q.scalar_channels != k.scalar_channels:
         raise ValueError("query and key channel counts differ")
-    point_channels = tuple(point_channels)
-    if any(not 0 <= c < q.channels for c in point_channels):
+    points = tuple(point_channels)
+    if any(not 0 <= c < q.channels for c in points):
         raise ValueError(f"point channel out of range for {q.channels} channels")
+    for i, c in enumerate(points):
+        if c in points[:i]:
+            raise ValueError(f"point channel {c} is repeated in {points}")
+    if variant in ("ega_distance", "ip_pga_to_cga") and not points:
+        raise ValueError(f"{variant} needs designated point channels")
     scale_dim = max(q.channels + q.scalar_channels, 1)
+    w = alg.inner_weights
 
     if variant in ("plain_inner", "cga_inner"):
-        logits = _pair_inners(alg, q, k) + q.scalars @ k.scalars.T
-        return logits / np.sqrt(scale_dim)
+        qf = _rows(q.mv, q.scalars, w) / np.sqrt(scale_dim)
+        return qf @ _rows(k.mv, k.scalars).T
 
     if variant == "ega_distance":
-        if not point_channels:
-            raise ValueError("ega_distance needs designated point channels")
-        mask = np.ones(q.channels, dtype=bool)
-        mask[list(point_channels)] = False
-        rest = _pair_inners(alg, q, k, mask) + q.scalars @ k.scalars.T
-        rest = rest / np.sqrt(scale_dim)
-        dist = np.zeros((q.tokens, k.tokens))
-        for c in point_channels:
-            qv = _vector_part(alg, q.mv[:, c])
-            kv = _vector_part(alg, k.mv[:, c])
-            qq = (qv**2).sum(axis=1)
-            kk = (kv**2).sum(axis=1)
-            # (|q|^2, 2q, 1) . (-1, k, -|k|^2) = -|q - k|^2
-            dist += -qq[:, None] + 2.0 * qv @ kv.T - kk[None, :]
-        return rest + dist
+        rest = [c for c in range(q.channels) if c not in points]
+        vec = alg.grade_indices(1)
+        qv, kv = q.mv[:, list(points)][:, :, vec], k.mv[:, list(points)][:, :, vec]
+        qq = (qv**2).sum(axis=2, keepdims=True)
+        kk = (kv**2).sum(axis=2, keepdims=True)
+        # per point channel (-|q|^2, 2q, 1) . (1, k, -|k|^2) = -|q - k|^2
+        qt = np.concatenate([-qq, 2.0 * qv, np.ones_like(qq)], axis=2).reshape(q.tokens, -1)
+        kt = np.concatenate([np.ones_like(kk), kv, -kk], axis=2).reshape(k.tokens, -1)
+        qf = _rows(q.mv[:, rest], q.scalars, w) / np.sqrt(scale_dim)
+        kf = _rows(k.mv[:, rest], k.scalars)
+        return np.concatenate([qf, qt], axis=1) @ np.concatenate([kf, kt], axis=1).T
 
     # ip_pga_to_cga
-    if not point_channels:
-        raise ValueError("ip_pga_to_cga needs designated point channels")
-    logits = _pair_inners(alg, q, k) + q.scalars @ k.scalars.T
-    for c in point_channels:
+    logits = _rows(q.mv, q.scalars, w) @ _rows(k.mv, k.scalars).T
+    d = np.empty_like(logits)
+    for c in points:
         try:
             qp, kp = extract_point(q.mv[:, c], "pga"), extract_point(k.mv[:, c], "pga")
         except PointAtInfinityError as exc:
             raise PointAtInfinityError(f"channel {c}, {exc}") from exc
         for qx, kx in zip(qp.T, kp.T):
-            d = np.subtract.outer(qx, kx)
-            logits -= 0.5 * d * d
-    return logits / np.sqrt(scale_dim + len(point_channels))
+            np.subtract.outer(qx, kx, out=d)
+            d *= d
+            d *= 0.5
+            logits -= d
+    logits /= np.sqrt(scale_dim + len(points))
+    return logits
 
 
 def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # in place: the weights overwrite the logits, which are returned
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def attention(variant, q, k, v, point_channels=()):
@@ -499,6 +500,6 @@ def attention(variant, q, k, v, point_channels=()):
         raise ValueError("key and value token counts differ")
     weights = _softmax_rows(attn_logits(variant, q, k, point_channels))
     c, n = v.channels, v.algebra.size
-    mv = (weights @ v.mv.reshape(v.tokens, c * n)).reshape(q.tokens, c, n)
-    scalars = weights @ v.scalars
-    return MvChannels(v.algebra, mv, scalars)
+    out = weights @ _rows(v.mv, v.scalars)
+    mv = out[:, : c * n].reshape(q.tokens, c, n)
+    return MvChannels(v.algebra, mv, out[:, c * n :])

@@ -204,23 +204,16 @@ class _Block:
             use_join=cfg.use_join, init=cfg.init, rng=rng,
         )
 
-    def _multi_head_attention(self, q, k, v):
-        alg = q.algebra
-        h = self.heads
-        cw = q.channels // h
-        sw = q.scalar_channels // h
+    def _multi_head_attention(self, a):
+        # a holds q, k and v side by side; head i reads its channels of each
+        t, h, alg = a.tokens, self.heads, a.algebra
+        mv = a.mv.reshape(t, 3, h, a.channels // (3 * h), alg.size)
+        sc = a.scalars.reshape(t, 3, h, a.scalar_channels // (3 * h))
         points = (0,) if self.attn_variant in _POINT_VARIANTS else ()
         mv_parts, sc_parts = [], []
         for i in range(h):
-            sl = slice(i * cw, (i + 1) * cw)
-            ss = slice(i * sw, (i + 1) * sw)
-            out = attention(
-                self.attn_variant,
-                MvChannels(alg, q.mv[:, sl], q.scalars[:, ss]),
-                MvChannels(alg, k.mv[:, sl], k.scalars[:, ss]),
-                MvChannels(alg, v.mv[:, sl], v.scalars[:, ss]),
-                point_channels=points,
-            )
+            q, k, v = (MvChannels(alg, mv[:, j, i], sc[:, j, i]) for j in range(3))
+            out = attention(self.attn_variant, q, k, v, point_channels=points)
             mv_parts.append(out.mv)
             sc_parts.append(out.scalars)
         return MvChannels(
@@ -228,12 +221,7 @@ class _Block:
         )
 
     def apply(self, x):
-        c, s = x.channels, x.scalar_channels
-        a = self.qkv.apply(equi_norm(self.norm, x))
-        q = MvChannels(x.algebra, a.mv[:, :c], a.scalars[:, :s])
-        k = MvChannels(x.algebra, a.mv[:, c : 2 * c], a.scalars[:, s : 2 * s])
-        v = MvChannels(x.algebra, a.mv[:, 2 * c :], a.scalars[:, 2 * s :])
-        attn_out = self._multi_head_attention(q, k, v)
+        attn_out = self._multi_head_attention(self.qkv.apply(equi_norm(self.norm, x)))
         x = MvChannels(x.algebra, x.mv + attn_out.mv, x.scalars + attn_out.scalars)
 
         b = equi_norm(self.norm, x)

@@ -10,6 +10,7 @@ from gaeq.embeddings import (
     embed_point_cga,
     embed_point_ega,
     embed_point_pga,
+    extract_point,
     pga_point_to_cga_point,
 )
 from gaeq.groups import random_group_element, rho
@@ -555,6 +556,16 @@ class TestAttnLogits:
         with pytest.raises(ValueError):
             attn_logits("ega_distance", q, q, point_channels=(5,))
 
+    @pytest.mark.parametrize("variant,algname", [("ega_distance", "ega"), ("ip_pga_to_cga", "pga")])
+    def test_repeated_point_channel_raises(self, variant, algname, rng):
+        # a repeated channel would add its distance term twice (and, for
+        # ip_pga_to_cga, count it twice in the scale)
+        x = random_channels(get_algebra(algname), rng, channels=2)
+        with pytest.raises(ValueError, match=r"point channel 0 is repeated in \(0, 0\)"):
+            attn_logits(variant, x, x, point_channels=(0, 0))
+        with pytest.raises(ValueError, match="point channel 1 is repeated"):
+            attn_logits(variant, x, x, point_channels=(1, 0, 1))
+
     def test_plain_inner_matches_manual(self, any_algebra, rng):
         q = random_channels(any_algebra, rng, tokens=3, channels=2, scalars=2)
         k = random_channels(any_algebra, rng, tokens=5, channels=2, scalars=2)
@@ -785,3 +796,129 @@ class TestAttention:
         mean_mv = v.mv.mean(axis=0)
         for t in range(5):
             assert np.abs(out.mv[t] - mean_mv).max() < 1e-12
+
+
+# -- attention against a pair-by-pair reference -------------------------------------
+
+ATTN_CASES = [
+    ("ega", "plain_inner"),
+    ("pga", "plain_inner"),
+    ("cga", "plain_inner"),
+    ("cga", "cga_inner"),
+    ("ega", "ega_distance"),
+    ("pga", "ip_pga_to_cga"),
+]
+
+
+def reference_logits(variant, q, k, points):
+    """The logits pair by pair from algebra.inner, explicit squared
+    distances and the documented scales, with the magnitude of the terms
+    each one sums."""
+    alg = q.algebra
+    inner_channels = [
+        c for c in range(q.channels) if variant != "ega_distance" or c not in points
+    ]
+    bridged = points if variant == "ip_pga_to_cga" else ()
+    scale = np.sqrt(max(q.channels + q.scalar_channels, 1) + len(bridged))
+    vec = alg.grade_indices(1)
+    want = np.zeros((q.tokens, k.tokens))
+    size = np.zeros((q.tokens, k.tokens))
+    for i in range(q.tokens):
+        for j in range(k.tokens):
+            logit = sum(inner(alg, q.mv[i, c], k.mv[j, c]) for c in inner_channels)
+            logit += q.scalars[i] @ k.scalars[j]
+            mag = sum(
+                np.abs(q.mv[i, c] * k.mv[j, c] * alg.inner_weights).sum()
+                for c in inner_channels
+            )
+            mag += np.abs(q.scalars[i] * k.scalars[j]).sum()
+            if variant == "ega_distance":
+                logit, mag = logit / scale, mag / scale
+                for c in points:
+                    qv, kv = q.mv[i, c, vec], k.mv[j, c, vec]
+                    logit -= ((qv - kv) ** 2).sum()
+                    mag += (np.linalg.norm(qv) + np.linalg.norm(kv)) ** 2
+            else:
+                for c in bridged:
+                    x = extract_point(q.mv[i, c], "pga")
+                    y = extract_point(k.mv[j, c], "pga")
+                    logit -= 0.5 * ((x - y) ** 2).sum()
+                    mag += 0.5 * ((x - y) ** 2).sum()
+                logit, mag = logit / scale, mag / scale
+            want[i, j], size[i, j] = logit, mag
+    return want, size
+
+
+class TestAttentionReference:
+    @pytest.mark.parametrize("case", ATTN_CASES, ids=[f"{a}-{v}" for a, v in ATTN_CASES])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q_tokens=st.integers(1, 5),
+        k_tokens=st.integers(1, 5),
+        channels=st.integers(1, 3),
+        scalars=st.integers(0, 3),
+        v_channels=st.integers(1, 3),
+        v_scalars=st.integers(0, 3),
+        coord_scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @example(
+        q_tokens=1, k_tokens=4, channels=3, scalars=2, v_channels=2, v_scalars=0,
+        coord_scale=1.0, seed=0, data=None,
+    )
+    def test_logits_and_attention_match_reference(
+        self, case, q_tokens, k_tokens, channels, scalars, v_channels, v_scalars,
+        coord_scale, seed, data,
+    ):
+        algname, variant = case
+        alg = get_algebra(algname)
+        rng = np.random.default_rng(seed)
+        points = ()
+        if variant in ("ega_distance", "ip_pga_to_cga"):
+            if data is None:
+                points = tuple(range(channels))[::-1]
+            else:
+                points = tuple(
+                    data.draw(
+                        st.lists(st.integers(0, channels - 1), min_size=1, unique=True),
+                        label="points",
+                    )
+                )
+
+        def tokens(t, c, s):
+            x = random_channels(alg, rng, tokens=t, channels=c, scalars=s)
+            x.mv *= coord_scale
+            if variant == "ip_pga_to_cga":
+                # projective points with e123 weights of either sign, away from zero
+                w = rng.uniform(0.5, 2.0, size=(t, len(points))) * rng.choice([-1, 1], (t, 1))
+                x.mv[:, list(points), alg.blade_index("e123")] = w
+            return x
+
+        q = tokens(q_tokens, channels, scalars)
+        k = tokens(k_tokens, channels, scalars)
+        v = random_channels(alg, rng, tokens=k_tokens, channels=v_channels, scalars=v_scalars)
+        before = [a.copy() for x in (q, k, v) for a in (x.mv, x.scalars)]
+
+        want, size = reference_logits(variant, q, k, points)
+        got = attn_logits(variant, q, k, point_channels=points)
+        assert got.shape == (q_tokens, k_tokens)
+        assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+        out = attention(variant, q, k, v, point_channels=points)
+        weights = np.exp(want - want.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        want_mv = np.einsum("ij,jcn->icn", weights, v.mv)
+        want_s = weights @ v.scalars
+        # a logit error e moves the weights of its row by at most 2 e each
+        v_max = max(np.abs(v.mv).max(), np.abs(v.scalars).max(initial=0.0))
+        bound = 1e-12 * (1.0 + 2.0 * size.max(axis=1)) * v_max
+        assert out.mv.shape == (q_tokens, v_channels, alg.size)
+        assert out.scalars.shape == (q_tokens, v_scalars)
+        assert np.all(np.abs(out.mv - want_mv).max(axis=(1, 2)) <= bound)
+        if v_scalars:
+            assert np.all(np.abs(out.scalars - want_s).max(axis=1) <= bound)
+
+        after = [a for x in (q, k, v) for a in (x.mv, x.scalars)]
+        for a, b in zip(before, after):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
