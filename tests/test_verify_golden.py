@@ -4,7 +4,10 @@ tests/golden/verify_l2_se3.json holds the four verify_conjecture(l_max=2)
 reports (ega, cga, pga, pga with the join; all se3), one SliceEntry per
 line; tests/golden/verify_l3_long_se3.json holds the eight reports of
 verify_conjecture(l_max=3, long=True) the same way, and is compared only
-with GAEQ_LONG=1 because it takes minutes.  Those reports are all se3, so
+with GAEQ_LONG=1 because it takes minutes; so is
+tests/golden/verify_l4_long_se3.json, the arity-4 reports of ega, pga and
+pga with the join from algebra_span_dim(..., 4, skip_oversize=True).
+Those reports are all se3, so
 tests/golden/null_dims_e3.json pins the e3 null-space dimension of every
 sorted slice of arity 1 to 3 of the three algebras (909 slices, at most
 10 000 entries each), one slice per line.  Every solver change has to
@@ -13,7 +16,7 @@ its cut to raise RankAmbiguityWarning.
 
 Regenerate (only when the reported dimensions are meant to change) with
 
-    PYTHONPATH=src python tests/test_verify_golden.py [--long | --e3]
+    PYTHONPATH=src python tests/test_verify_golden.py [--long | --l4 | --e3]
 """
 
 import itertools
@@ -25,10 +28,16 @@ import sys
 import pytest
 
 from gaeq.algebra import get_algebra
-from gaeq.solver import GradeSlice, solve_multilinear_dim, verify_conjecture
+from gaeq.solver import (
+    GradeSlice,
+    algebra_span_dim,
+    solve_multilinear_dim,
+    verify_conjecture,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_l2_se3.json"
 GOLDEN_L3 = pathlib.Path(__file__).parent / "golden" / "verify_l3_long_se3.json"
+GOLDEN_L4 = pathlib.Path(__file__).parent / "golden" / "verify_l4_long_se3.json"
 GOLDEN_E3 = pathlib.Path(__file__).parent / "golden" / "null_dims_e3.json"
 
 
@@ -41,6 +50,14 @@ def render(reports):
         rows = ",\n".join("  " + json.dumps(s) for s in slices)
         parts.append(json.dumps(head)[:-1] + ', "slices": [\n' + rows + "\n]}")
     return "[\n" + ",\n".join(parts) + "\n]\n"
+
+
+def l4_reports():
+    """The arity-4 se3 reports of ega, pga and pga with the join."""
+    return [
+        algebra_span_dim(name, 4, with_join=wj, skip_oversize=True)
+        for name, wj in (("ega", False), ("pga", False), ("pga", True))
+    ]
 
 
 def render_e3_null_dims():
@@ -78,9 +95,19 @@ def test_verify_l3_long_report_matches_golden():
     assert got == GOLDEN_L3.read_text()
 
 
+@pytest.mark.skipif(
+    os.environ.get("GAEQ_LONG") != "1", reason="minutes long; set GAEQ_LONG=1"
+)
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+def test_l4_long_report_matches_golden():
+    assert render(l4_reports()) == GOLDEN_L4.read_text()
+
+
 if __name__ == "__main__":
     if "--long" in sys.argv[1:]:
         path, text = GOLDEN_L3, render(verify_conjecture(l_max=3, long=True))
+    elif "--l4" in sys.argv[1:]:
+        path, text = GOLDEN_L4, render(l4_reports())
     elif "--e3" in sys.argv[1:]:
         path, text = GOLDEN_E3, render_e3_null_dims()
     else:
