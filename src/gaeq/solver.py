@@ -150,12 +150,13 @@ def _rank_from_spectrum(s, rel_tol):
 
 def _nullspace_dim(stacks, rel_tol=1e-10):
     """Dimension of the kernel of the block-diagonal matrix with the given
-    diagonal blocks: one SVD per block, and the rank cut taken once, on the
-    merged descending spectrum, relative to its largest value.  The blocks
-    may come from a generator: each is released before the next is taken,
-    so only one block and its SVD workspace are alive at a time."""
+    diagonal blocks, (columns, block) pairs: one SVD per block, and the rank
+    cut taken once, on the merged descending spectrum, relative to its
+    largest value.  The blocks may come from a generator: each is released
+    before the next is taken, so only one block and its SVD workspace are
+    alive at a time."""
     s, cols = [], 0
-    for b in stacks:
+    for _, b in stacks:
         cols += b.shape[1]
         if b.size:
             s.append(np.linalg.svd(b, compute_uv=False))
@@ -259,21 +260,43 @@ def _linear_slice_svds(alg, group):
 def _linear_blocks(alg, group, rel_tol):
     """({(go, gi): orthonormal (k, n_go, n_gi) kernel basis}, full maps).
 
-    Only blocks with a non-empty kernel are kept.  The rank cut is taken
-    once, on the combined spectrum, relative to its largest value.
+    Each (output, input) grade block is solved as the arity-1 slice it is,
+    on an orthonormal frame Q of its SO(3)-invariant subspace (_Frame):
+    _reduced_stacks applies the T_z rows to Q's entries, one SVD per
+    mirror-parity block of Q's columns, and the kernel coordinates y map
+    back to the maps Q y, orthonormal because Q is an isometry.  The rank
+    cut is taken once, on the merged spectrum of every block, relative to
+    its largest value, and only blocks with a non-empty kernel are kept.
+    _linear_slice_svds keeps the dense constraint solve as the reference.
     """
-    svds, spectrum = _linear_slice_svds(alg, group)
+    solved, spectra = [], [np.zeros(0)]
+    for go in range(alg.n + 1):
+        for gi in range(alg.n + 1):
+            frame = _Frame.build(alg, go, (gi,))
+            entries = frame.flat, frame.col, frame.val, frame.cols
+            gs = GradeSlice((gi,), go)
+            for cols, stack in _reduced_stacks(alg, group, gs, entries):
+                # all of vt: the kernel can be wider than the stack is tall
+                _, s, vt = np.linalg.svd(stack)
+                solved.append((go, gi, frame, cols, s, vt))
+                spectra.append(s)
+    spectrum = np.sort(np.concatenate(spectra))[::-1]
     rank = _rank_from_spectrum(spectrum, rel_tol)
     smallest_kept = spectrum[rank - 1] if rank else np.inf
-    blocks = {}
-    maps = [np.zeros((0, alg.size, alg.size))]
-    for (go, gi), (s, vt) in svds.items():
+    kernels = {}
+    for go, gi, frame, cols, s, vt in solved:
         kernel = vt[np.count_nonzero(s >= smallest_kept) :]
         if kernel.shape[0]:
-            io, ii = alg.grade_indices(go), alg.grade_indices(gi)
-            blocks[(go, gi)] = kernel.reshape(-1, len(io), len(ii))
-            maps.append(np.zeros((kernel.shape[0], alg.size, alg.size)))
-            maps[-1][:, io[:, None], ii] = blocks[(go, gi)]
+            coords = np.zeros((kernel.shape[0], frame.cols))
+            coords[:, cols] = kernel
+            kernels.setdefault((go, gi), []).append(frame.lift(coords))
+    blocks = {}
+    maps = [np.zeros((0, alg.size, alg.size))]
+    for (go, gi), parts in kernels.items():
+        io, ii = alg.grade_indices(go), alg.grade_indices(gi)
+        blocks[(go, gi)] = np.concatenate(parts).reshape(-1, len(io), len(ii))
+        maps.append(np.zeros((blocks[(go, gi)].shape[0], alg.size, alg.size)))
+        maps[-1][:, io[:, None], ii] = blocks[(go, gi)]
     maps = np.concatenate(maps)
     _spot_check_generic_generator(alg, maps.reshape(maps.shape[0], -1))
     return blocks, maps
@@ -598,6 +621,7 @@ def _blade_tables(alg):
     return tables
 
 
+@functools.lru_cache(maxsize=64)
 def _invariant_entries(alg, grades):
     """(flat, col, val, cols): the nonzero entries of an integer basis of
     the SO(3)-invariant tensors on the grade blocks (output grade first),
@@ -606,7 +630,10 @@ def _invariant_entries(alg, grades):
     a column, the invariant contracted with the pieces; every piece column
     is one signed blade, so each nonzero of the invariant is one entry of
     the column.  Rotation blocks are antisymmetric, so the input axes
-    transform like the output axis."""
+    transform like the output axis.  Cached, with a bound that holds one
+    multiset's slices and the sub-slices first built for it, so that the
+    span builder's frames and the null solve of the same slice share one
+    call; callers must not write to the arrays."""
     tables = [_blade_tables(alg)[g] for g in grades]
     dims = [len(alg.grade_indices(g)) for g in grades]
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
@@ -626,6 +653,127 @@ def _invariant_entries(alg, grades):
             cols += len(f)
     flat, col, val = map(np.concatenate, zip(*parts))
     return flat, col, val, cols
+
+
+def _shared_blocks(alg, grades):
+    """[(first column, piece choices, spin-1 axes k)] of the column blocks
+    of _invariant_entries(alg, grades) whose piece choices carry more than
+    one invariant tensor (none below arity 3).  A block holds one column per
+    (invariant tensor, piece choice), tensor-major, one block per choice of
+    piece widths, in column order."""
+    tables = [_blade_tables(alg)[g] for g in grades]
+    blocks, start = [], 0
+    for widths in itertools.product(*tables):
+        k = widths.count(3)
+        pieces = math.prod(len(tables[j][w][0]) for j, w in enumerate(widths))
+        if len(_so3_invariants(k)) > 1:
+            blocks.append((start, pieces, k))
+        start += pieces * len(_so3_invariants(k))
+    return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _invariant_cholesky_inverse(k):
+    """L^-1 for the integer Gram matrix L L^T of the _so3_invariants(k)
+    tensors, lower triangular."""
+    t = np.stack([u.ravel() for u in _so3_invariants(k)])
+    return np.linalg.inv(np.linalg.cholesky(t @ t.T))
+
+
+class _Frame:
+    """Orthonormal frame Q of one grade slice's SO(3)-invariant subspace.
+
+    Q = B W for the integer basis B of _invariant_entries.  Every piece
+    column is one signed blade, so columns of B with different piece
+    choices share no entry, and the columns of one piece choice, one per
+    invariant tensor, have the Gram matrix of those tensors: B^T B is block
+    diagonal by piece choice (diagonal at arity <= 2), every block the same
+    small integer matrix L L^T per spin-1 axis count, and W applies L^-T.
+    Q is held like B, as its nonzero entries sorted by column, never as a
+    dense (entries x columns) array: rows @ Q is a gather and a per-column
+    sum, and coordinates @ Q^T a scatter.  perm[j] is the sorted slice's
+    input axis behind input axis j of this frame's slice: frames of
+    unsorted sequences permute the sorted slice's entry indices.
+    """
+
+    def __init__(self, name, grades, dims, perm, flat, col, val, cols, starts=None):
+        self.name, self.grades, self.dims, self.perm = name, grades, dims, perm
+        self.flat, self.col, self.val, self.cols = flat, col, val, cols
+        self.size = math.prod(dims)
+        if starts is None:  # the first entry of each column; every column has one
+            starts = np.flatnonzero(np.diff(col, prepend=-1))
+        self.starts = starts
+
+    @classmethod
+    def build(cls, alg, output, inputs):
+        grades = (output,) + tuple(inputs)
+        flat, col, val, cols = _invariant_entries(alg, grades)
+        # B^T B's diagonal, all of it where a piece choice has one tensor
+        norm = np.sqrt(np.bincount(col, val * val, minlength=cols))
+        one, parts = np.ones(len(col), dtype=bool), []
+        for start, pieces, k in _shared_blocks(alg, grades):
+            linv = _invariant_cholesky_inverse(k)
+            lo, hi = np.searchsorted(col, [start, start + pieces * len(linv)])
+            one[lo:hi] = False
+            f, v = flat[lo:hi], val[lo:hi]
+            u, p = np.divmod(col[lo:hi] - start, pieces)
+            # column (t, p) of Q is the sum over u <= t of L^-1[t, u] B[:, (u, p)]
+            for t in range(len(linv)):
+                keep = u <= t
+                at = start + t * pieces + p[keep]
+                parts.append((f[keep], at, v[keep] * linv[t, u[keep]]))
+        dims = tuple(len(alg.grade_indices(g)) for g in grades)
+        perm = tuple(range(len(inputs)))
+        if not parts:
+            return cls(alg.name, grades, dims, perm, flat, col, val / norm[col], cols)
+        parts.append((flat[one], col[one], val[one] / norm[col[one]]))
+        flat, col, val = map(np.concatenate, zip(*parts))
+        order = np.argsort(col, kind="stable")
+        flat, col, val = flat[order], col[order], val[order]
+        return cls(alg.name, grades, dims, perm, flat, col, val, cols)
+
+    def permuted(self, perm):
+        """The frame of this sorted slice with input axis j taken from its
+        input axis perm[j]."""
+        perm = tuple(perm)
+        if perm == self.perm:
+            return self
+        index = np.unravel_index(self.flat, self.dims)
+        axes = (0,) + tuple(1 + p for p in perm)
+        dims = tuple(self.dims[a] for a in axes)
+        flat = np.ravel_multi_index([index[a] for a in axes], dims)
+        grades = tuple(self.grades[a] for a in axes)
+        entries = flat, self.col, self.val, self.cols
+        return _Frame(self.name, grades, dims, perm, *entries, self.starts)
+
+    def project(self, rows):
+        """rows @ Q for (r, size) rows of this slice's maps.  Raises when
+        their part outside the invariant subspace, estimated as
+        ||R||^2 - ||R Q||^2 (good to about 1e-7 of ||R||), exceeds 1e-6 of
+        their norm: a non-equivariant row is a construction bug, and must
+        not be projected away."""
+        rows = rows.reshape(len(rows), self.size)
+        if self.cols:
+            gathered = rows.take(self.flat, axis=1) * self.val
+            coords = np.add.reduceat(gathered, self.starts, axis=1)
+        else:
+            coords = np.zeros((len(rows), 0))
+        total = np.vdot(rows, rows)
+        outside = total - np.vdot(coords, coords)
+        if outside > 1e-12 * total + _SPAN_FLOOR**2:
+            raise AssertionError(
+                f"{self.name} slice {self.grades[1:]}->{self.grades[0]}: span rows "
+                f"leave the invariant subspace by {math.sqrt(outside / total):.1e} "
+                "of their norm"
+            )
+        return coords
+
+    def lift(self, coords):
+        """coords @ Q^T: the (k, size) map rows of (k, cols) coordinates."""
+        k = len(coords)
+        at = (np.arange(k)[:, None] * self.size + self.flat).ravel()
+        weights = (coords[:, self.col] * self.val).ravel()
+        return np.bincount(at, weights, minlength=k * self.size).reshape(k, self.size)
 
 
 @functools.lru_cache(maxsize=None)
@@ -658,9 +806,9 @@ def _mirror_even(alg, gs, index, col, cols):
     return even
 
 
-def _reduced_stacks(alg, group, gs):
-    """Yield the T_z rows on the invariant basis, one stack per
-    mirror-parity block of its columns: even, then odd; e3 keeps the even
+def _reduced_stacks(alg, group, gs, entries=None):
+    """Yield (column mask, T_z rows on those invariant columns), one stack
+    per mirror-parity block of the columns: even, then odd; e3 keeps the even
     block only, since (M - I) B x = B (D - I) x with D = +-1 per column and
     B of full column rank.  The mirror commutes with T_z and is a diagonal of signs,
     so T_z moves an entry only to an index of the same sign: even columns
@@ -669,19 +817,22 @@ def _reduced_stacks(alg, group, gs):
     axis through T_z's grade block, by T[o, b] on the output axis and by
     -T[b, o] on an input axis; each stack keeps the rows that some entry of
     its block reaches, so its size follows the constraints, not the
-    basis."""
+    basis.  entries: the columns as (flat, col, val, cols) nonzeros, by
+    default those of _invariant_entries."""
     grades = (gs.output_grade,) + gs.input_grades
-    flat, col, val, cols = _invariant_entries(alg, grades)
+    if entries is None:
+        entries = _invariant_entries(alg, grades)
+    flat, col, val, cols = entries
     terms = _generator_blocks(alg, "se3", _GENERATING_SET)
     if group == "se3" and not terms:  # ega: nothing constrains the columns
-        yield np.zeros((0, cols))
+        yield np.ones(cols, dtype=bool), np.zeros((0, cols))
         return
     dims = [len(alg.grade_indices(g)) for g in grades]
     index = np.unravel_index(flat, dims)
     even = _mirror_even(alg, gs, index, col, cols)
     parities = [even] if group == "e3" else [even, ~even]
     if not terms:  # ega, e3
-        yield np.zeros((0, np.count_nonzero(even)))
+        yield even, np.zeros((0, np.count_nonzero(even)))
         return
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
     parts = []
@@ -701,7 +852,7 @@ def _reduced_stacks(alg, group, gs):
     pending = [(rows[keep], at[keep], weights[keep]) for keep in (p[at] for p in parities)]
     del rows, at, weights
     for block in parities:
-        yield _parity_stack(block, *pending.pop(0))
+        yield block, _parity_stack(block, *pending.pop(0))
 
 
 def _parity_stack(block, rows, at, weights):
@@ -759,181 +910,213 @@ def solve_multilinear_dim(
     if method is None or method == "reduced":
         return _nullspace_dim(_reduced_stacks(alg, group, grade_slice), rel_tol)
     if method == "dense":
-        return _nullspace_dim([_slice_stack(alg, group, grade_slice)], rel_tol)
+        return _nullspace_dim([(None, _slice_stack(alg, group, grade_slice))], rel_tol)
     raise ValueError(f"unknown method {method!r}")
 
 
 # -- span of maps constructable inside the algebra -------------------------------
 
 
-class _IncrementalReducer:
-    """Streaming orthonormal row basis.
+# every span stage mixes unit-Frobenius blocks with integer product tensors,
+# so true rows are O(1) and anything below this floor is cancellation residue
+# (e.g. an equivariant block applied to the invariant vector it must
+# annihilate); without the floor such residue gets normalized into fake span
+# directions
+_SPAN_FLOOR = 1e-10
 
-    Rows arrive in batches; pending rows are folded into the basis once
-    they outnumber it, so the matrix handed to the SVD never grows past a
-    couple of chunks.  Keeps peak memory flat while raw product stacks can
-    run to tens of thousands of rows.
-    """
 
-    def __init__(self, rel_tol, abs_tol):
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
-        self.basis = None
-        self.pending = []
-        self.pending_rows = 0
+class _Projected:
+    """The coordinates of one slice's map rows in its frame.  Rows are
+    stacked and projected about 2^18 floats at a time: few calls on small
+    slices, bounded memory on large ones."""
+
+    def __init__(self, frame):
+        self.frame, self.pending, self.floats, self.coords = frame, [], 0, []
 
     def add(self, rows):
-        if rows.shape[0] == 0:
-            return
         self.pending.append(rows)
-        self.pending_rows += rows.shape[0]
-        base = 0 if self.basis is None else self.basis.shape[0]
-        if self.pending_rows >= max(256, 2 * base):
-            self._flush()
+        self.floats += rows.size
+        if self.floats >= 1 << 18:
+            self.flush()
 
-    def _flush(self):
-        if not self.pending:
-            return
-        parts = ([] if self.basis is None else [self.basis]) + self.pending
-        self.pending = []
-        self.pending_rows = 0
-        red = _reduce_rows(np.vstack(parts), self.rel_tol, abs_tol=self.abs_tol)
-        self.basis = red if red.shape[0] else None
+    def flush(self):
+        if self.pending:
+            self.coords.append(self.frame.project(np.vstack(self.pending)))
+            self.pending, self.floats = [], 0
+        return self.coords
 
-    def result(self):
-        self._flush()
-        return self.basis
+
+def _sorting_perm(seq):
+    """perm with seq[j] = sorted(seq)[perm[j]], equal grades in order."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    return tuple(sorted(range(len(seq)), key=order.__getitem__))
 
 
 class _SpanBuilder:
     """Spans of multilinear maps reachable from equivariant linears and the
     algebra's products, per ordered grade sequence and output grade.
 
-    Basis arrays have shape (n_basis, out_dim, in_dim_1, ..., in_dim_k) with
-    orthonormal flattened rows.  Sequences are memoized; permutations of a
-    slice's inputs reuse the memoized sequences and only permute axes.
+    Every constructed map is rotation-equivariant, so its rows lie in the
+    slice's SO(3)-invariant subspace: each batch of rows is projected onto
+    the slice's orthonormal invariant frame Q (_Frame) as it is made, the
+    SVD runs on rows @ Q, and the kept right vectors map back through Q^T
+    only where a longer product needs them.  Q is an isometry on that
+    subspace, so singular values, the relative rank cut and the absolute
+    floor keep their meaning.  Sequences shorter than a slice are memoized
+    in full coordinates, as (n_basis, out_dim, in_dim_1, ..., in_dim_k)
+    arrays with orthonormal flattened rows; full-length sequences stay in
+    frame coordinates, where the union over input permutations is taken.
+    Frames of sorted slices live with the builder (those of a whole slice
+    only until its union is taken).
     """
 
     def __init__(self, alg, group, with_join, rel_tol=1e-10):
         self.alg = alg
         self.rel_tol = rel_tol
-        # every stage mixes unit-Frobenius blocks with integer product tensors,
-        # so true rows are O(1) and anything below this floor is cancellation
-        # residue (e.g. an equivariant block applied to the invariant vector
-        # it must annihilate); without the floor such residue gets normalized
-        # into fake span directions
-        self.abs_tol = 1e-10
         self.grades = range(alg.n + 1)
         self.grade_idx = [alg.grade_indices(k) for k in self.grades]
         self.lin = _linear_blocks(alg, group, rel_tol)[0]
         tensors = [alg.gp_tensor]
         if with_join:
             tensors.append(alg.join_tensor)
+        # per product and input grade pair: the (out x b, a) matrix over the
+        # blades of every output grade it reaches, and [(grade, lo, hi)] of
+        # those grades' rows
         self.prods = []
         for t in tensors:
-            blocks = {}
+            pairs = {}
             for ga in self.grades:
                 for gb in self.grades:
-                    for go in self.grades:
-                        blk = t[
-                            np.ix_(
-                                self.grade_idx[ga],
-                                self.grade_idx[gb],
-                                self.grade_idx[go],
-                            )
-                        ]
-                        if np.abs(blk).max() > 0:
-                            # store as (out, a, b)
-                            blocks[(go, ga, gb)] = np.moveaxis(blk, 2, 0)
-            self.prods.append(blocks)
+                    blk = t[np.ix_(self.grade_idx[ga], self.grade_idx[gb])]
+                    outs = [g for g in self.grades if blk[:, :, self.grade_idx[g]].any()]
+                    if outs:
+                        at = np.concatenate([self.grade_idx[g] for g in outs])
+                        bounds = np.cumsum([0] + [len(self.grade_idx[g]) for g in outs])
+                        mat = blk[:, :, at].transpose(2, 1, 0).reshape(-1, blk.shape[0])
+                        pairs[(ga, gb)] = mat, list(zip(outs, bounds[:-1], bounds[1:]))
+            self.prods.append(pairs)
         self.memo = {}
+        self.frames = {}
 
-    def span(self, seq):
-        got = self.memo.get(seq)
-        if got is not None:
-            return got
-        if len(seq) == 1:
-            spans = {
-                go: self.lin[(go, seq[0])]
-                for go in self.grades
-                if (go, seq[0]) in self.lin
+    def _frame(self, go, seq, perm=None):
+        """The frame of the slice seq -> go, from its sorted slice's frame
+        with the input axes permuted by perm (default: seq's sorting
+        permutation)."""
+        key = (go, tuple(sorted(seq)))
+        base = self.frames.get(key)
+        if base is None:
+            base = self.frames[key] = _Frame.build(self.alg, go, key[1])
+        return base.permuted(_sorting_perm(seq) if perm is None else perm)
+
+    def _reduce(self, rows):
+        return _reduce_rows(np.vstack(rows), self.rel_tol, abs_tol=_SPAN_FLOOR)
+
+    def reduced(self, seq):
+        """{output grade: (frame, orthonormal coordinate rows)} of the maps
+        reachable from seq: every product of the spans of two shorter
+        sequences splitting it, followed by an equivariant linear map.  One
+        SVD per output grade and stage, on the projected rows."""
+        frames, prod = {}, {}
+
+        def frame(go):
+            if go not in frames:
+                frames[go] = self._frame(go, seq)
+            return frames[go]
+
+        def factors(spans):
+            # {grade: (n, the basis as (out_dim, n * in_dims))}
+            return {
+                g: (len(b), np.moveaxis(b, 1, 0).reshape(b.shape[1], -1))
+                for g, b in spans.items()
             }
-            self.memo[seq] = spans
-            return spans
-        in_dims = tuple(len(self.grade_idx[g]) for g in seq)
-        n_in = int(np.prod(in_dims))
-        prod_red = {}
+
         for m in range(1, len(seq)):
-            left = self.span(seq[:m])
-            right = self.span(seq[m:])
-            for ga, sa in left.items():
-                nda = sa.ndim - 2
-                for gb, sb in right.items():
-                    for blocks in self.prods:
-                        for go in self.grades:
-                            blk = blocks.get((go, ga, gb))
-                            if blk is None:
-                                continue
-                            t1 = np.tensordot(blk, sa, axes=([1], [1]))
-                            # t1: (out, b, p, *da)
-                            t2 = np.tensordot(t1, sb, axes=([1], [1]))
-                            # t2: (out, p, *da, q, *db)
-                            t2 = np.moveaxis(t2, [1, 2 + nda], [0, 1])
-                            red = prod_red.get(go)
-                            if red is None:
-                                red = _IncrementalReducer(
-                                    self.rel_tol, self.abs_tol
-                                )
-                                prod_red[go] = red
-                            red.add(t2.reshape(t2.shape[0] * t2.shape[1], -1))
-        prod_bases = {
-            g: red.result().reshape(
-                (-1, len(self.grade_idx[g])) + in_dims
-            )
-            for g, red in prod_red.items()
-            if red.result() is not None
-        }
-        spans = {}
-        for g2 in self.grades:
-            out_red = _IncrementalReducer(self.rel_tol, self.abs_tol)
-            for g, block in prod_bases.items():
+            right = factors(self.span(seq[m:]))
+            for ga, (p, a) in factors(self.span(seq[:m])).items():
+                da = a.shape[1] // p
+                for gb, (q, b) in right.items():
+                    for pairs in self.prods:
+                        if (ga, gb) not in pairs:
+                            continue
+                        mat, outs = pairs[(ga, gb)]
+                        # contract the left factor, then the right one:
+                        # (p, out, da, q, db)
+                        t1 = (mat @ a).reshape(-1, len(b), p, da).transpose(2, 0, 3, 1)
+                        t2 = t1.reshape(-1, len(b)) @ b
+                        t2 = t2.reshape(p, -1, da, q, b.shape[1] // q)
+                        for go, lo, hi in outs:
+                            if go not in prod:
+                                prod[go] = _Projected(frame(go))
+                            # rows (p, q) over (out, *da, *db)
+                            rows = t2[:, lo:hi].transpose(0, 3, 1, 2, 4)
+                            prod[go].add(rows.reshape(p * q, -1))
+        out = {}
+        for g, rows in prod.items():
+            basis = self._reduce(rows.flush())
+            if not basis.shape[0]:
+                continue
+            # composing with the reduced product basis instead of the raw
+            # stack keeps the closure rows to (basis maps x span rows)
+            block = frames[g].lift(basis).reshape(len(basis), len(self.grade_idx[g]), -1)
+            for g2 in self.grades:
                 lin = self.lin.get((g2, g))
                 if lin is None:
                     continue
-                # composing with the reduced product basis instead of the raw
-                # stack keeps the closure rows to (basis maps x span rows)
-                flat = block.reshape(block.shape[0], block.shape[1], n_in)
-                comp = np.tensordot(lin, flat, axes=([2], [1]))
-                comp = np.moveaxis(comp, 2, 1)
-                out_red.add(comp.reshape(comp.shape[0] * comp.shape[1], -1))
-            basis = out_red.result()
-            if basis is not None:
-                spans[g2] = basis.reshape(
-                    (-1, len(self.grade_idx[g2])) + in_dims
+                # (maps, basis rows) over (out, *in_dims)
+                comp = lin.reshape(-1, lin.shape[2]) @ block.transpose(1, 0, 2).reshape(
+                    lin.shape[2], -1
                 )
-        self.memo[seq] = spans
+                comp = comp.reshape(len(lin), lin.shape[1], len(block), -1)
+                comp = comp.transpose(0, 2, 1, 3)
+                if g2 not in out:
+                    out[g2] = _Projected(frame(g2))
+                out[g2].add(comp.reshape(len(lin) * len(block), -1))
+        spans = {}
+        for g2 in self.grades:
+            if g2 in out:
+                basis = self._reduce(out.pop(g2).flush())
+                if basis.shape[0]:
+                    spans[g2] = frames[g2], basis
         return spans
+
+    def span(self, seq):
+        """{output grade: basis} of seq in full coordinates, memoized: the
+        factors that longer sequences multiply."""
+        got = self.memo.get(seq)
+        if got is None:
+            if len(seq) == 1:
+                got = {go: b for (go, gi), b in self.lin.items() if gi == seq[0]}
+            else:
+                in_dims = tuple(len(self.grade_idx[g]) for g in seq)
+                got = {
+                    go: frame.lift(c).reshape((len(c), -1) + in_dims)
+                    for go, (frame, c) in self.reduced(seq).items()
+                }
+            self.memo[seq] = got
+        return got
 
     def slice_span_dims(self, inputs):
         """Span dimension per output grade for the given input grades,
-        including all permutations of the inputs."""
-        l = len(inputs)
-        union = {}
-        for perm in itertools.permutations(range(l)):
+        including all permutations of the inputs.  The union is taken in
+        the coordinates of the sorted slice's frame: a permutation's
+        coordinates already are when its frame is the one its sequence was
+        reduced in, and are lifted and projected again when it exchanges
+        equal grades."""
+        inputs = tuple(inputs)
+        order = _sorting_perm(inputs)
+        spans, rows = {}, {}
+        for perm in itertools.permutations(range(len(inputs))):
             seq = tuple(inputs[p] for p in perm)
-            for go, arr in self.span(seq).items():
-                moved = np.moveaxis(
-                    arr,
-                    [2 + j for j in range(l)],
-                    [2 + perm[j] for j in range(l)],
-                )
-                rows = moved.reshape(moved.shape[0], -1)
-                prev = union.get(go)
-                stacked = rows if prev is None else np.vstack([prev, rows])
-                union[go] = _reduce_rows(
-                    stacked, self.rel_tol, abs_tol=self.abs_tol
-                )
-        return {go: q.shape[0] for go, q in union.items()}
+            if seq not in spans:
+                spans[seq] = self.reduced(seq)
+            want = tuple(order[p] for p in perm)
+            for go, (frame, coords) in spans[seq].items():
+                if frame.perm != want:
+                    coords = self._frame(go, seq, want).project(frame.lift(coords))
+                rows.setdefault(go, []).append(coords)
+        for go in self.grades:
+            self.frames.pop((go, tuple(sorted(inputs))), None)
+        return {go: self._reduce(r).shape[0] for go, r in rows.items()}
 
 
 @dataclass
@@ -1005,11 +1188,6 @@ def algebra_span_dim(
     if with_join and group != "se3":
         raise ValueError("the join commutes with the orientation-preserving group only")
     builder = _SpanBuilder(alg, group, with_join, rel_tol)
-    multisets = list(
-        itertools.combinations_with_replacement(range(alg.n + 1), l)
-    )
-    span_dims = {ms: builder.slice_span_dims(ms) for ms in multisets}
-    del builder  # the memoized sequence spans can be large
 
     def null_dim(ms, o):
         try:
@@ -1026,14 +1204,17 @@ def algebra_span_dim(
             raise
 
     entries = []
-    for ms in multisets:
+    # each multiset's null solves right after its span, so that they find
+    # its slices' invariant entries still cached
+    for ms in itertools.combinations_with_replacement(range(alg.n + 1), l):
+        span_dims = builder.slice_span_dims(ms)
         for o in range(alg.n + 1):
             dim = null_dim(ms, o)
             entries.append(
                 SliceEntry(
                     inputs=ms,
                     output=o,
-                    span_dim=span_dims[ms].get(o, 0),
+                    span_dim=span_dims.get(o, 0),
                     nullspace_dim=dim,
                     skipped=dim is None,
                 )

@@ -24,9 +24,12 @@ from gaeq.groups import (
 from gaeq.solver import (
     EquivarianceSpotCheckWarning,
     GradeSlice,
+    _Frame,
     _GENERATING_SET,
+    _SpanBuilder,
     _generator_blocks,
     _invariant_entries,
+    _linear_slice_svds,
     _mirror_even,
     _reduced_stacks,
     _so3_invariants,
@@ -612,16 +615,19 @@ def assert_reduced_gram_matches_kronecker_rows(alg, group, gs):
         ]
         rows = constraint_rows(out, ins) @ basis
         want = rows.T @ rows
-    stacks = list(_reduced_stacks(alg, group, gs))
+    masks, stacks = zip(*_reduced_stacks(alg, group, gs))
     if alg.name == "ega" and group == "se3":
-        # no T_z and no mirror: one empty stack, parity never computed
+        # no T_z and no mirror: one empty stack over every column, parity
+        # never computed
         assert [s.shape for s in stacks] == [(0, basis.shape[1])]
+        assert masks[0].all()
         return
     even = mirror_even(alg, gs)
     assert not want[np.ix_(even, ~even)].any()
     parities = [even] if group == "e3" else [even, ~even]
     assert len(stacks) == len(parities)
-    for block, stack in zip(parities, stacks):
+    for block, mask, stack in zip(parities, masks, stacks):
+        assert np.array_equal(mask, block)
         got = stack.T @ stack
         block_want = want[np.ix_(block, block)]
         scale = max(np.abs(block_want).max(initial=0.0), 1.0)
@@ -652,6 +658,133 @@ def test_multilinear_deterministic(cga):
     gs = GradeSlice((2, 2), 2)
     runs = {solve_multilinear_dim(cga, "se3", gs) for _ in range(2)}
     assert len(runs) == 1
+
+
+# -- invariant frames ---------------------------------------------------------------
+
+
+def dense_frame(frame):
+    """A frame as a dense (size, cols) matrix, built from its entries."""
+    q = np.zeros((frame.size, frame.cols))
+    np.add.at(q, (frame.flat, frame.col), frame.val)
+    return q
+
+
+def sorted_slices(name, arity):
+    grades = range(get_algebra(name).n + 1)
+    for ins in itertools.combinations_with_replacement(grades, arity):
+        for out in grades:
+            yield ins, out
+
+
+ARITY3_FRAMES = [
+    ("ega", (1, 1, 2), 1),
+    ("ega", (1, 2, 3), 0),
+    ("pga", (1, 2, 3), 2),
+    ("pga", (2, 2, 2), 2),
+    ("cga", (1, 1, 3), 3),
+    ("cga", (1, 2, 2), 2),
+    ("cga", (2, 2, 2), 2),
+]
+
+
+def assert_frame_spans_invariant_basis(alg, inputs, output):
+    frame = _Frame.build(alg, output, inputs)
+    q = dense_frame(frame)
+    assert np.abs(q.T @ q - np.eye(frame.cols)).max(initial=0.0) <= 1e-14
+    # B has full column rank (test_invariant_basis_is_rotation_invariant) and
+    # as many columns as Q, so B inside span(Q) means the same span
+    b = invariant_basis(alg, GradeSlice(inputs, output)).reshape(frame.size, -1)
+    assert b.shape[1] == frame.cols
+    assert np.abs(b - q @ (q.T @ b)).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["ega", "pga", "cga"])
+@pytest.mark.parametrize("arity", [1, 2])
+def test_frames_are_orthonormal_bases_of_the_invariant_subspace(name, arity):
+    alg = get_algebra(name)
+    for inputs, output in sorted_slices(name, arity):
+        assert_frame_spans_invariant_basis(alg, inputs, output)
+
+
+@pytest.mark.parametrize("name, inputs, output", ARITY3_FRAMES)
+def test_arity3_frames_are_orthonormal_bases(name, inputs, output):
+    assert_frame_spans_invariant_basis(get_algebra(name), inputs, output)
+
+
+@pytest.mark.parametrize(
+    "name, inputs, output",
+    [("pga", (1, 2), 2), ("cga", (1, 3), 2), ("cga", (2, 2), 2)] + ARITY3_FRAMES,
+)
+def test_permuted_frame_has_the_projector_of_a_direct_frame(name, inputs, output):
+    # equal projectors: the direct frame's coordinates of the permuted frame
+    # form an orthogonal matrix
+    alg = get_algebra(name)
+    base = _Frame.build(alg, output, inputs)
+    for perm in itertools.permutations(range(len(inputs))):
+        got = dense_frame(base.permuted(perm))
+        want = dense_frame(_Frame.build(alg, output, tuple(inputs[p] for p in perm)))
+        assert got.shape == want.shape
+        m = want.T @ got
+        assert np.abs(m @ m.T - np.eye(len(m))).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, with_join", [("ega", False), ("pga", False), ("pga", True), ("cga", False)]
+)
+def test_arity2_span_rows_lie_in_their_frames(name, with_join, monkeypatch):
+    # the residual outside the frame, formed exactly, of every batch of rows
+    # the builder projects
+    project, worst = _Frame.project, []
+
+    def checked(frame, rows):
+        rows = rows.reshape(len(rows), frame.size)
+        q = dense_frame(frame)
+        worst.append(np.abs(rows - (rows @ q) @ q.T).max(initial=0.0))
+        return project(frame, rows)
+
+    monkeypatch.setattr(_Frame, "project", checked)
+    alg = get_algebra(name)
+    builder = _SpanBuilder(alg, "se3", with_join)
+    for inputs in itertools.combinations_with_replacement(range(alg.n + 1), 2):
+        builder.slice_span_dims(inputs)
+    assert worst and max(worst) <= 1e-12
+
+
+def test_projection_guard_names_the_slice(cga, rng):
+    frame = _Frame.build(cga, 2, (2, 2))
+    rows = frame.lift(rng.normal(size=(3, frame.cols)))
+    assert np.allclose(frame.project(rows) @ dense_frame(frame).T, rows, atol=1e-12)
+    bad = rows.copy()
+    bad[1] += 1e-3 * rng.normal(size=frame.size)
+    with pytest.raises(AssertionError, match=r"cga slice \(2, 2\)->2"):
+        frame.project(bad)
+
+
+def test_non_equivariant_linear_block_fails_the_span_loudly(pga, rng):
+    # a construction bug: one linear block off the equivariant maps
+    builder = _SpanBuilder(pga, "se3", False)
+    block = builder.lin[(1, 1)]
+    builder.lin[(1, 1)] = block + 1e-3 * rng.normal(size=block.shape)
+    with pytest.raises(AssertionError, match=r"pga slice \(1, 1\)->\d"):
+        builder.slice_span_dims((1, 1))
+
+
+@pytest.mark.parametrize("group", ["e3", "se3"])
+def test_reduced_linear_blocks_match_the_dense_solve(any_algebra, group):
+    # per grade block, the kernel of the dense constraint stack under the
+    # same merged rank cut
+    alg = any_algebra
+    svds, spectrum = _linear_slice_svds(alg, group)
+    smallest_kept = spectrum[np.count_nonzero(spectrum > 1e-10 * spectrum[0]) - 1]
+    maps = solve_linear_basis(alg, group).maps
+    for (go, gi), (s, vt) in svds.items():
+        dense = vt[np.count_nonzero(s >= smallest_kept) :]
+        block = np.ix_(alg.grade_indices(go), alg.grade_indices(gi))
+        reduced = [m[block].ravel() for m in maps if m[block].any()]
+        assert len(reduced) == len(dense), (go, gi)
+        if reduced:
+            assert subspace_distance(np.array(reduced), dense) < 1e-12, (go, gi)
 
 
 # -- span construction and the conjecture -------------------------------------------
