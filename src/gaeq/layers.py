@@ -373,12 +373,10 @@ def equi_norm(cfg, x):
 
 
 def _sigmoid(a):
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    # exp only of -|a|, so nothing overflows: 1 / (1 + e^-a) for a >= 0 and
+    # e^a / (1 + e^a) below, branch-free
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 def gated_nonlinearity(x):

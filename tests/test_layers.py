@@ -26,7 +26,13 @@ from gaeq.layers import (
     gated_nonlinearity,
     transform_channels,
 )
-from gaeq.layers import _grade_forms, _norm_denominator, _shared_family, _softmax_rows
+from gaeq.layers import (
+    _grade_forms,
+    _norm_denominator,
+    _shared_family,
+    _sigmoid,
+    _softmax_rows,
+)
 from gaeq.transformer import ModelConfig, build_model
 
 N_GROUP_SAMPLES = 20
@@ -514,6 +520,36 @@ class TestGate:
         x = random_channels(any_algebra, rng)
         group = "se3" if any_algebra.name != "ega" else "e3"
         assert commutation_error(gated_nonlinearity, x, group, rng) < LAYER_TOL
+
+
+def masked_sigmoid(a):
+    """The sigmoid as two boolean-masked branches, the reference the
+    branch-free form must match bit for bit."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=64),
+    scale=st.sampled_from([1.0, 5.0, 800.0]),
+)
+@example(values=[0.0, -0.0, 800.0, -800.0, 1e308, -1e308], scale=1.0)
+def test_sigmoid_matches_masked_form_bitwise(values, scale):
+    a = np.asarray(values) * scale
+    want, got = masked_sigmoid(a), _sigmoid(a)
+    assert np.array_equal(want.view(np.int64), got.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(256, 8), (256, 16), (4096, 32)])
+def test_sigmoid_matches_masked_form_on_draws(shape, rng):
+    a = 5.0 * rng.normal(size=shape)
+    a[0, :4] = [0.0, -0.0, 800.0, -800.0]
+    assert np.array_equal(masked_sigmoid(a).view(np.int64), _sigmoid(a).view(np.int64))
 
 
 # -- attention ----------------------------------------------------------------------
