@@ -11,9 +11,10 @@ Three cooperating pieces:
   the solved kernels are compared against,
 * a span construction that composes the solved linear maps with the
   product tensors of the algebra (geometric product, optionally the join)
-  over all input permutations, reduces after every composition stage, and
-  compares the reachable span against the full multilinear null space,
-  grade slice by grade slice.
+  over all input permutations, reduces after every composition stage in
+  the coordinates of an orthonormal frame of the slice's rotation-invariant
+  subspace, and compares the reachable span against the full multilinear
+  null space, grade slice by grade slice.
 
 Solving always works grade slice by grade slice; the full tensor space is
 never materialized.  Every slice is solved in reduced coordinates: its
@@ -33,8 +34,10 @@ only the rows some entry reaches and memory follows the constraints, not
 the basis.  The solver runs on numpy alone.
 method="dense" keeps the full stacked constraint matrix of one constraint
 builder, groups.constraint_terms, as the independent reference.  The linear
-basis is solved block by block, as the (d+1)^2 arity-1 slices.  Slices
-whose flattened map exceeds the entry cap raise SliceTooLargeError.
+basis is solved block by block, as the (d+1)^2 arity-1 slices, in the same
+reduced coordinates with orthonormalised columns; linear_constraint_spectrum
+keeps the dense stacks.  Slices whose flattened map exceeds the entry cap
+raise SliceTooLargeError.
 """
 
 import functools
@@ -633,7 +636,7 @@ def _invariant_entries(alg, grades):
     transform like the output axis.  Cached, with a bound that holds one
     multiset's slices and the sub-slices first built for it, so that the
     span builder's frames and the null solve of the same slice share one
-    call; callers must not write to the arrays."""
+    call; the arrays are read-only."""
     tables = [_blade_tables(alg)[g] for g in grades]
     dims = [len(alg.grade_indices(g)) for g in grades]
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
@@ -652,6 +655,8 @@ def _invariant_entries(alg, grades):
             parts.append((f.ravel(), np.repeat(cols + np.arange(len(f)), n), v.ravel()))
             cols += len(f)
     flat, col, val = map(np.concatenate, zip(*parts))
+    for a in (flat, col, val):
+        a.flags.writeable = False
     return flat, col, val, cols
 
 
@@ -722,14 +727,13 @@ class _Frame:
                 keep = u <= t
                 at = start + t * pieces + p[keep]
                 parts.append((f[keep], at, v[keep] * linv[t, u[keep]]))
-        dims = tuple(len(alg.grade_indices(g)) for g in grades)
-        perm = tuple(range(len(inputs)))
-        if not parts:
-            return cls(alg.name, grades, dims, perm, flat, col, val / norm[col], cols)
         parts.append((flat[one], col[one], val[one] / norm[col[one]]))
         flat, col, val = map(np.concatenate, zip(*parts))
-        order = np.argsort(col, kind="stable")
-        flat, col, val = flat[order], col[order], val[order]
+        if len(parts) > 1:  # the shared blocks' columns back in order
+            order = np.argsort(col, kind="stable")
+            flat, col, val = flat[order], col[order], val[order]
+        dims = tuple(len(alg.grade_indices(g)) for g in grades)
+        perm = tuple(range(len(inputs)))
         return cls(alg.name, grades, dims, perm, flat, col, val, cols)
 
     def permuted(self, perm):
