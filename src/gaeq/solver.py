@@ -276,9 +276,8 @@ def _linear_blocks(alg, group, rel_tol):
     for go in range(alg.n + 1):
         for gi in range(alg.n + 1):
             frame = _Frame.build(alg, go, (gi,))
-            entries = frame.flat, frame.col, frame.val, frame.cols
-            gs = GradeSlice((gi,), go)
-            for cols, stack in _reduced_stacks(alg, group, gs, entries):
+            gs = _FramedSlice((gi,), go, (frame.flat, frame.col, frame.val, frame.cols))
+            for cols, stack in _reduced_stacks(alg, group, gs):
                 # all of vt: the kernel can be wider than the stack is tall
                 _, s, vt = np.linalg.svd(stack)
                 solved.append((go, gi, frame, cols, s, vt))
@@ -523,6 +522,14 @@ class GradeSlice:
         return ins, len(alg.grade_indices(self.output_grade))
 
 
+@dataclass(frozen=True)
+class _FramedSlice(GradeSlice):
+    """A grade slice with the (flat, col, val, cols) nonzero entries of the
+    invariant columns to solve it on, when its caller already holds them."""
+
+    entries: tuple = field(default=None, compare=False, repr=False)
+
+
 def _slice_reps(alg, group, gs):
     """(output rep, input reps) of every generator restricted to a slice."""
     return [
@@ -624,7 +631,6 @@ def _blade_tables(alg):
     return tables
 
 
-@functools.lru_cache(maxsize=64)
 def _invariant_entries(alg, grades):
     """(flat, col, val, cols): the nonzero entries of an integer basis of
     the SO(3)-invariant tensors on the grade blocks (output grade first),
@@ -633,10 +639,8 @@ def _invariant_entries(alg, grades):
     a column, the invariant contracted with the pieces; every piece column
     is one signed blade, so each nonzero of the invariant is one entry of
     the column.  Rotation blocks are antisymmetric, so the input axes
-    transform like the output axis.  Cached, with a bound that holds one
-    multiset's slices and the sub-slices first built for it, so that the
-    span builder's frames and the null solve of the same slice share one
-    call; the arrays are read-only."""
+    transform like the output axis.  The arrays are read-only: a span
+    frame and the null solve of its slice share them."""
     tables = [_blade_tables(alg)[g] for g in grades]
     dims = [len(alg.grade_indices(g)) for g in grades]
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
@@ -710,9 +714,11 @@ class _Frame:
         self.starts = starts
 
     @classmethod
-    def build(cls, alg, output, inputs):
+    def build(cls, alg, output, inputs, entries=None):
+        """The frame of inputs -> output from its basis's entries (by
+        default _invariant_entries')."""
         grades = (output,) + tuple(inputs)
-        flat, col, val, cols = _invariant_entries(alg, grades)
+        flat, col, val, cols = entries or _invariant_entries(alg, grades)
         # B^T B's diagonal, all of it where a piece choice has one tensor
         norm = np.sqrt(np.bincount(col, val * val, minlength=cols))
         one, parts = np.ones(len(col), dtype=bool), []
@@ -810,7 +816,7 @@ def _mirror_even(alg, gs, index, col, cols):
     return even
 
 
-def _reduced_stacks(alg, group, gs, entries=None):
+def _reduced_stacks(alg, group, gs):
     """Yield (column mask, T_z rows on those invariant columns), one stack
     per mirror-parity block of the columns: even, then odd; e3 keeps the even
     block only, since (M - I) B x = B (D - I) x with D = +-1 per column and
@@ -821,12 +827,11 @@ def _reduced_stacks(alg, group, gs, entries=None):
     axis through T_z's grade block, by T[o, b] on the output axis and by
     -T[b, o] on an input axis; each stack keeps the rows that some entry of
     its block reaches, so its size follows the constraints, not the
-    basis.  entries: the columns as (flat, col, val, cols) nonzeros, by
-    default those of _invariant_entries."""
+    basis.  The columns are a _FramedSlice's entries, by default those of
+    _invariant_entries."""
     grades = (gs.output_grade,) + gs.input_grades
-    if entries is None:
-        entries = _invariant_entries(alg, grades)
-    flat, col, val, cols = entries
+    entries = getattr(gs, "entries", None)
+    flat, col, val, cols = entries or _invariant_entries(alg, grades)
     terms = _generator_blocks(alg, "se3", _GENERATING_SET)
     if group == "se3" and not terms:  # ega: nothing constrains the columns
         yield np.ones(cols, dtype=bool), np.zeros((0, cols))
@@ -971,7 +976,9 @@ class _SpanBuilder:
     arrays with orthonormal flattened rows; full-length sequences stay in
     frame coordinates, where the union over input permutations is taken.
     Frames of sorted slices live with the builder (those of a whole slice
-    only until its union is taken).
+    only until its union is taken), and so do the basis entries they were
+    built from, for the null solves of the same slices (algebra_span_dim
+    takes them out).
     """
 
     def __init__(self, alg, group, with_join, rel_tol=1e-10):
@@ -1001,6 +1008,7 @@ class _SpanBuilder:
             self.prods.append(pairs)
         self.memo = {}
         self.frames = {}
+        self.entries = {}
 
     def _frame(self, go, seq, perm=None):
         """The frame of the slice seq -> go, from its sorted slice's frame
@@ -1009,7 +1017,8 @@ class _SpanBuilder:
         key = (go, tuple(sorted(seq)))
         base = self.frames.get(key)
         if base is None:
-            base = self.frames[key] = _Frame.build(self.alg, go, key[1])
+            entries = self.entries[key] = _invariant_entries(self.alg, (go,) + key[1])
+            base = self.frames[key] = _Frame.build(self.alg, go, key[1], entries)
         return base.permuted(_sorting_perm(seq) if perm is None else perm)
 
     def _reduce(self, rows):
@@ -1194,11 +1203,13 @@ def algebra_span_dim(
     builder = _SpanBuilder(alg, group, with_join, rel_tol)
 
     def null_dim(ms, o):
+        # on the invariant entries the span's frame was built from, if any
+        gs = _FramedSlice(ms, o, builder.entries.pop((o, ms), None))
         try:
             return solve_multilinear_dim(
                 alg,
                 group,
-                GradeSlice(ms, o),
+                gs,
                 entry_cap=entry_cap,
                 rel_tol=rel_tol,
             )
@@ -1208,8 +1219,6 @@ def algebra_span_dim(
             raise
 
     entries = []
-    # each multiset's null solves right after its span, so that they find
-    # its slices' invariant entries still cached
     for ms in itertools.combinations_with_replacement(range(alg.n + 1), l):
         span_dims = builder.slice_span_dims(ms)
         for o in range(alg.n + 1):
