@@ -276,7 +276,8 @@ def _linear_blocks(alg, group, rel_tol):
     for go in range(alg.n + 1):
         for gi in range(alg.n + 1):
             frame = _Frame.build(alg, go, (gi,))
-            gs = _FramedSlice((gi,), go, (frame.flat, frame.col, frame.val, frame.cols))
+            entries = frame.flat, frame.col, frame.val, frame.cols
+            gs = _FramedSlice((gi,), go, entries)
             for cols, stack in _reduced_stacks(alg, group, gs):
                 # all of vt: the kernel can be wider than the stack is tall
                 _, s, vt = np.linalg.svd(stack)
