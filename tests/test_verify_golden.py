@@ -4,7 +4,7 @@ tests/golden/verify_l2_se3.json holds the four verify_conjecture(l_max=2)
 reports (ega, cga, pga, pga with the join; all se3), one SliceEntry per
 line; tests/golden/verify_l3_long_se3.json holds the eight reports of
 verify_conjecture(l_max=3, long=True) the same way, and is compared only
-with GAEQ_LONG=1 because it takes minutes; so is
+with GAEQ_LONG=1, since it runs the long arities; so is
 tests/golden/verify_l4_long_se3.json, the arity-4 reports of ega, pga and
 pga with the join from algebra_span_dim(..., 4, skip_oversize=True).
 Those reports are all se3, so
@@ -87,7 +87,7 @@ def test_e3_null_dims_match_golden():
 
 
 @pytest.mark.skipif(
-    os.environ.get("GAEQ_LONG") != "1", reason="minutes long; set GAEQ_LONG=1"
+    os.environ.get("GAEQ_LONG") != "1", reason="long arities; set GAEQ_LONG=1"
 )
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
 def test_verify_l3_long_report_matches_golden():
@@ -96,7 +96,7 @@ def test_verify_l3_long_report_matches_golden():
 
 
 @pytest.mark.skipif(
-    os.environ.get("GAEQ_LONG") != "1", reason="minutes long; set GAEQ_LONG=1"
+    os.environ.get("GAEQ_LONG") != "1", reason="long arities; set GAEQ_LONG=1"
 )
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
 def test_l4_long_report_matches_golden():
