@@ -849,6 +849,26 @@ def test_span_dims_frozen(span_reports):
     }
 
 
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+def test_e3_span_within_e3_and_se3_null_spaces(span_reports):
+    # the full group keeps fewer maps on every slice: its span stays inside
+    # its own null space, which stays inside the se3 one
+    got = {}
+    for name in ("ega", "pga", "cga"):
+        rep = algebra_span_dim(name, 2, group="e3")
+        se3 = {(s.inputs, s.output): s.nullspace_dim for s in span_reports[(name, False)].slices}
+        assert [(s.inputs, s.output) for s in rep.slices] == list(se3)
+        for s in rep.slices:
+            assert s.span_dim <= s.nullspace_dim <= se3[(s.inputs, s.output)], (name, s)
+        gaps = [(s.inputs, s.output) for s in rep.slices if s.span_dim < s.nullspace_dim]
+        got[name] = rep.span_dim, rep.nullspace_dim, gaps
+    assert got == {
+        "ega": (13, 13, []),
+        "pga": (34, 37, [((3, 4), 0), ((4, 4), 0), ((4, 4), 1)]),
+        "cga": (170, 170, []),
+    }
+
+
 def test_span_rejects_bad_requests(ega, pga):
     with pytest.raises(ValueError):
         algebra_span_dim(ega, 2, with_join=True)
