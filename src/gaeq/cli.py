@@ -237,6 +237,8 @@ def _sample_motion(variant, rng):
 
 
 def cmd_check_equivariance(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     overrides = {}
     for key in ("blocks", "mv_channels", "scalar_channels", "heads"):
         v = getattr(args, key)
@@ -388,6 +390,8 @@ def _probe_input(name):
 
 
 def cmd_norm_probe(args):
+    if args.iterations < 0:
+        raise ValueError(f"--iterations must be at least 0, got {args.iterations}")
     default = default_norm_config(args.algebra)
     variant = args.norm_variant or default.variant
     epsilon = args.epsilon if args.epsilon is not None else default.epsilon

@@ -335,6 +335,22 @@ class TestParser:
         assert rc == 2
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_no_samples_exits_2(self, capsys, samples):
+        rc = main(["check-equivariance", "--variant", "E", "--samples", samples])
+        assert rc == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_negative_iterations_exits_2(self, capsys):
+        rc = main(["norm-probe", "--algebra", "cga", "--iterations", "-3"])
+        assert rc == 2
+        assert "--iterations" in capsys.readouterr().err
+
+    def test_zero_iterations_prints_the_input(self, capsys):
+        rc = main(["norm-probe", "--algebra", "ega", "--iterations", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == "iteration,max_abs_coeff\n0,2\n"
+
     def test_indivisible_heads_exits_2(self, capsys):
         rc = main(["check-equivariance", "--variant", "C", "--heads", "3"])
         assert rc == 2
