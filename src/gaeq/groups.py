@@ -49,7 +49,6 @@ __all__ = [
     "random_motion",
     "RepMatrix",
     "constraint_rows",
-    "constraint_terms",
 ]
 
 GROUPS = ("se3", "e3")
@@ -277,10 +276,15 @@ def _kron_sum(mats):
     return total
 
 
-def constraint_terms(out_rep, in_reps):
-    """Kronecker factor pairs [(p, q)] with constraint_rows = sum kron(p, q):
-    [(d_out, I), (-I, d_in^T)] for a Lie constraint, [(r_out, r_in^-T),
-    (-I, I)] for a finite element.  All representations share the flavor.
+def constraint_rows(out_rep, in_reps):
+    """Rows whose kernel is the space of equivariant linear maps.
+
+    A map phi from the tensor product of the input representations to the
+    output representation is flattened row major, phi[i, j] -> vec[i * n_in
+    + j].  For a Lie constraint the rows express d_out phi - phi d_in = 0,
+    kron(d_out, I) - kron(I, d_in^T); for a finite element they express
+    r_out phi r_in^-1 - phi = 0, kron(r_out, r_in^-T) - I.  All
+    representations share the flavor.
     """
     flavors = {out_rep.flavor} | {r.flavor for r in in_reps}
     if len(flavors) != 1:
@@ -289,17 +293,6 @@ def constraint_terms(out_rep, in_reps):
     n_in = int(np.prod([r.matrix.shape[0] for r in in_reps])) if in_reps else 1
     if out_rep.flavor == "lie":
         d_in = _kron_sum([r.matrix for r in in_reps]) if in_reps else np.zeros((1, 1))
-        return [(out_rep.matrix, np.eye(n_in)), (-np.eye(n_out), d_in.T)]
+        return _kron(out_rep.matrix, np.eye(n_in)) - _kron(np.eye(n_out), d_in.T)
     r_in = _kron_all([r.matrix for r in in_reps]) if in_reps else np.eye(1)
-    return [(out_rep.matrix, np.linalg.inv(r_in).T), (-np.eye(n_out), np.eye(n_in))]
-
-
-def constraint_rows(out_rep, in_reps):
-    """Rows whose kernel is the space of equivariant linear maps.
-
-    A map phi from the tensor product of the input representations to the
-    output representation is flattened row major, phi[i, j] -> vec[i * n_in
-    + j].  For a Lie constraint the rows express d_out phi - phi d_in = 0;
-    for a finite element they express r_out phi r_in^-1 - phi = 0.
-    """
-    return sum(_kron(p, q) for p, q in constraint_terms(out_rep, in_reps))
+    return _kron(out_rep.matrix, np.linalg.inv(r_in).T) - np.eye(n_out * n_in)

@@ -18,11 +18,15 @@ Three cooperating pieces:
 
 Solving always works grade slice by grade slice; the full tensor space is
 never materialized.  Every slice is solved in reduced coordinates: its
-columns are an exact integer basis of the slice's rotation-invariant
-subspace (every equivariant map lies there), built in closed form from the
-spin-0 and spin-1 pieces of each grade block and the delta/epsilon
-invariant tensors of SO(3), and its rows are the z translation constraints
-only, applied axis by axis to the basis tensor.  The mirror maps every
+columns are a basis of the slice's rotation-invariant subspace (every
+equivariant map lies there), built in closed form from the spin-0 and
+spin-1 pieces of each grade block and the delta/epsilon invariant tensors
+of SO(3), and its rows are the z translation constraints only, applied axis
+by axis to the basis tensor.  One construction gives both bases: fed the
+integer invariant tensors it gives the exact integer basis B of a
+standalone solve, fed the same tensors orthonormalised once per spin-1 axis
+count it gives the orthonormal frame Q the span is reduced in, and the span
+flow solves each slice's null space on Q's entries.  The mirror maps every
 invariant column to itself or to its negative and commutes with the z
 translation, so the constraint stack is block diagonal over the two mirror
 parities: each block gets its own singular value decomposition, the rank
@@ -33,11 +37,10 @@ the constraint moves each entry by index arithmetic, so each stack holds
 only the rows some entry reaches and memory follows the constraints, not
 the basis.  The solver runs on numpy alone.
 method="dense" keeps the full stacked constraint matrix of one constraint
-builder, groups.constraint_terms, as the independent reference.  The linear
-basis is solved block by block, as the (d+1)^2 arity-1 slices, in the same
-reduced coordinates with orthonormalised columns; linear_constraint_spectrum
-keeps the dense stacks.  Slices whose flattened map exceeds the entry cap
-raise SliceTooLargeError.
+builder, groups.constraint_rows, as the independent reference.  The linear
+basis is solved block by block, as the (d+1)^2 arity-1 slices, on their
+frames Q; linear_constraint_spectrum keeps the dense stacks.  Standalone
+slices whose flattened map exceeds the entry cap raise SliceTooLargeError.
 """
 
 import functools
@@ -86,6 +89,9 @@ DEFAULT_ENTRY_CAP = 20_000_000
 # labels slices by both names
 _DENSE_MAX_VEC = 1500
 _GRAM_MAX_VEC = 11000
+# the rank cut of every null-space and span solve, relative to the largest
+# singular value
+_REL_TOL = 1e-10
 
 
 class SliceTooLargeError(ValueError):
@@ -116,7 +122,7 @@ def _check_group(group):
 # -- rank decisions ------------------------------------------------------------
 
 
-def _rank_from_spectrum(s, rel_tol):
+def _rank_from_spectrum(s):
     """Count of kept values from a descending spectrum, with warnings.
 
     Warns when values sit within a factor 10 of the threshold, and when the
@@ -125,7 +131,7 @@ def _rank_from_spectrum(s, rel_tol):
     s = np.asarray(s)
     if s.size == 0 or s[0] <= 0:
         return 0
-    thresh = rel_tol * s[0]
+    thresh = _REL_TOL * s[0]
     rank = int(np.count_nonzero(s > thresh))
     near = s[(s > thresh / 10.0) & (s < thresh * 10.0)]
     if near.size:
@@ -151,7 +157,7 @@ def _rank_from_spectrum(s, rel_tol):
     return rank
 
 
-def _nullspace_dim(stacks, rel_tol=1e-10):
+def _nullspace_dim(stacks):
     """Dimension of the kernel of the block-diagonal matrix with the given
     diagonal blocks, (columns, block) pairs: one SVD per block, and the rank
     cut taken once, on the merged descending spectrum, relative to its
@@ -165,10 +171,10 @@ def _nullspace_dim(stacks, rel_tol=1e-10):
             s.append(np.linalg.svd(b, compute_uv=False))
         del b
     spectrum = np.sort(np.concatenate(s))[::-1] if s else np.zeros(0)
-    return cols - _rank_from_spectrum(spectrum, rel_tol)
+    return cols - _rank_from_spectrum(spectrum)
 
 
-def _reduce_rows(rows, rel_tol=1e-10, abs_tol=0.0):
+def _reduce_rows(rows, rel_tol=_REL_TOL, abs_tol=0.0):
     """Orthonormal row basis of the row span, rank cut at rel_tol.
 
     abs_tol is an absolute floor under the relative cut, for rows whose
@@ -187,33 +193,20 @@ def _reduce_rows(rows, rel_tol=1e-10, abs_tol=0.0):
 
 # -- constraint generators -----------------------------------------------------
 
-# lie_generators order: rotations e12, e23, e13, then translations x, y, z
-_LIE_NAMES = ("Lz", "Lx", "Ly", "Tx", "Ty", "Tz")
-# the constraints left on rotation-invariant columns: the constraint map is a
-# Lie algebra homomorphism and the rotations' commutators with T_z span T_x
-# and T_y, so T_z generates the rest; the mirror maps each invariant column
-# to plus or minus itself and commutes with T_z, so it splits the T_z stack
-# into an even and an odd block and for e3 only keeps the even one
-# (_mirror_even, _reduced_stacks)
-_GENERATING_SET = ("Tz",)
-
-
 @functools.lru_cache(maxsize=None)
-def _generator_blocks(alg, group, names=None):
-    """[(flavor, per-grade diagonal blocks)] per generator, all of them or
-    those whose name is in the tuple names.
+def _generator_blocks(alg, group):
+    """[(flavor, per-grade diagonal blocks)] per generator, in
+    lie_generators order (rotations e12, e23, e13, then translations x, y,
+    z), the mirror last for e3.
 
     Every constraint generator acts within each grade (checked), so
     grade-sliced solving only needs the diagonal blocks.
     """
-    entries = [
-        (name, "lie", drho(alg, x)) for name, x in zip(_LIE_NAMES, lie_generators(alg))
-    ]
+    entries = [("lie", drho(alg, x)) for x in lie_generators(alg)]
     if group == "e3":
-        entries.append(("mirror", "group", rho(alg, mirror_versor(alg))))
-    entries = [e for e in entries if names is None or e[0] in names]
+        entries.append(("group", rho(alg, mirror_versor(alg))))
     out = []
-    for name, flavor, m in entries:
+    for flavor, m in entries:
         blocks = []
         diag_mass = 0.0
         for k in range(alg.n + 1):
@@ -228,6 +221,21 @@ def _generator_blocks(alg, group, names=None):
             )
         out.append((flavor, blocks))
     return out
+
+
+def _tz_blocks(alg):
+    """The per-grade diagonal blocks of the z translation, None for an
+    algebra without translations (ega).
+
+    These are the only constraints left on rotation-invariant columns: the
+    constraint map is a Lie algebra homomorphism and the rotations'
+    commutators with T_z span T_x and T_y, so T_z generates the rest; the
+    mirror maps each invariant column to plus or minus itself and commutes
+    with T_z, so it splits the T_z stack into an even and an odd block and
+    for e3 only keeps the even one (_mirror_even, _reduced_stacks).
+    """
+    generators = _generator_blocks(alg, "se3")
+    return generators[5][1] if len(generators) == 6 else None
 
 
 # -- linear map bases ----------------------------------------------------------
@@ -260,7 +268,7 @@ def _linear_slice_svds(alg, group):
     return svds, spectrum
 
 
-def _linear_blocks(alg, group, rel_tol):
+def _linear_blocks(alg, group):
     """({(go, gi): orthonormal (k, n_go, n_gi) kernel basis}, full maps).
 
     Each (output, input) grade block is solved as the arity-1 slice it is,
@@ -276,15 +284,13 @@ def _linear_blocks(alg, group, rel_tol):
     for go in range(alg.n + 1):
         for gi in range(alg.n + 1):
             frame = _Frame.build(alg, go, (gi,))
-            entries = frame.flat, frame.col, frame.val, frame.cols
-            gs = _FramedSlice((gi,), go, entries)
-            for cols, stack in _reduced_stacks(alg, group, gs):
+            for cols, stack in _reduced_stacks(alg, group, frame.as_slice()):
                 # all of vt: the kernel can be wider than the stack is tall
                 _, s, vt = np.linalg.svd(stack)
                 solved.append((go, gi, frame, cols, s, vt))
                 spectra.append(s)
     spectrum = np.sort(np.concatenate(spectra))[::-1]
-    rank = _rank_from_spectrum(spectrum, rel_tol)
+    rank = _rank_from_spectrum(spectrum)
     smallest_kept = spectrum[rank - 1] if rank else np.inf
     kernels = {}
     for go, gi, frame, cols, s, vt in solved:
@@ -305,7 +311,7 @@ def _linear_blocks(alg, group, rel_tol):
     return blocks, maps
 
 
-def solve_linear_basis(algebra, group="e3", rel_tol=1e-10):
+def solve_linear_basis(algebra, group="e3"):
     """All equivariant linear maps on the full coefficient space.
 
     Stacks one commutation constraint per infinitesimal generator and, for
@@ -315,7 +321,7 @@ def solve_linear_basis(algebra, group="e3", rel_tol=1e-10):
     """
     alg = _algebra(algebra)
     _check_group(group)
-    return LinearMapBasis(alg.name, group, _linear_blocks(alg, group, rel_tol)[1])
+    return LinearMapBasis(alg.name, group, _linear_blocks(alg, group)[1])
 
 
 def linear_constraint_spectrum(algebra, group="e3"):
@@ -575,10 +581,25 @@ def _so3_invariants(k):
 
 
 @functools.lru_cache(maxsize=None)
-def _invariant_nonzeros(k):
+def _orthonormal_invariants(k):
+    """L^-1 T: the _so3_invariants(k) tensors T made orthonormal, where
+    L L^T = T T^T is their integer Gram matrix, so that tensor t mixes the
+    integer tensors 0..t."""
+    tensors = _so3_invariants(k)
+    if not tensors:
+        return []
+    t = np.stack([u.ravel() for u in tensors])
+    onb = np.linalg.inv(np.linalg.cholesky(t @ t.T)) @ t
+    return [row.reshape(u.shape) for row, u in zip(onb, tensors)]
+
+
+@functools.lru_cache(maxsize=None)
+def _invariant_nonzeros(k, orthonormal):
     """[(spin-1 axis indices (k, n), values (n,))]: the nonzeros of each
-    _so3_invariants(k) tensor."""
-    return [(np.argwhere(t).T, t[t != 0]) for t in _so3_invariants(k)]
+    _so3_invariants(k) tensor, or of each _orthonormal_invariants(k)
+    tensor."""
+    tensors = _orthonormal_invariants(k) if orthonormal else _so3_invariants(k)
+    return [(np.argwhere(t).T, t[t != 0]) for t in tensors]
 
 
 @functools.lru_cache(maxsize=None)
@@ -632,23 +653,31 @@ def _blade_tables(alg):
     return tables
 
 
-def _invariant_entries(alg, grades):
-    """(flat, col, val, cols): the nonzero entries of an integer basis of
-    the SO(3)-invariant tensors on the grade blocks (output grade first),
-    at row-major flat indices, and its column count.  Every choice of one
+def _invariant_entries(alg, grades, orthonormal=False):
+    """(flat, col, val, cols): the nonzero entries of a basis of the
+    SO(3)-invariant tensors on the grade blocks (output grade first), at
+    row-major flat indices, and its column count.  Every choice of one
     rotation piece per axis and one invariant tensor on its spin-1 axes is
     a column, the invariant contracted with the pieces; every piece column
     is one signed blade, so each nonzero of the invariant is one entry of
     the column.  Rotation blocks are antisymmetric, so the input axes
-    transform like the output axis.  The arrays are read-only: a span
-    frame and the null solve of its slice share them."""
+    transform like the output axis.  The columns are in order, one block
+    per choice of piece widths, tensor-major within it.
+
+    With the integer invariants (_so3_invariants) this is the exact integer
+    basis B the standalone null solves run on.  With orthonormal=True the
+    same construction contracts _orthonormal_invariants instead and gives
+    an orthonormal basis Q (_Frame): columns with different piece choices
+    share no entry, and those with the same one have the Gram matrix of
+    their tensors.  Q = B L^-T, column for column.  The arrays are
+    read-only: a span frame and the null solve of its slice share them."""
     tables = [_blade_tables(alg)[g] for g in grades]
     dims = [len(alg.grade_indices(g)) for g in grades]
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
     # (flat index, column, value) arrays, from no entry on
     parts, cols = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))], 0
     for widths in itertools.product(*tables):
-        for axes, values in _invariant_nonzeros(widths.count(3)):
+        for axes, values in _invariant_nonzeros(widths.count(3), orthonormal):
             n, spin1 = values.size, iter(axes)
             # (columns so far, n), one axis at a time
             f, v = np.zeros((1, n), dtype=int), values[None]
@@ -665,45 +694,18 @@ def _invariant_entries(alg, grades):
     return flat, col, val, cols
 
 
-def _shared_blocks(alg, grades):
-    """[(first column, piece choices, spin-1 axes k)] of the column blocks
-    of _invariant_entries(alg, grades) whose piece choices carry more than
-    one invariant tensor (none below arity 3).  A block holds one column per
-    (invariant tensor, piece choice), tensor-major, one block per choice of
-    piece widths, in column order."""
-    tables = [_blade_tables(alg)[g] for g in grades]
-    blocks, start = [], 0
-    for widths in itertools.product(*tables):
-        k = widths.count(3)
-        pieces = math.prod(len(tables[j][w][0]) for j, w in enumerate(widths))
-        if len(_so3_invariants(k)) > 1:
-            blocks.append((start, pieces, k))
-        start += pieces * len(_so3_invariants(k))
-    return blocks
-
-
-@functools.lru_cache(maxsize=None)
-def _invariant_cholesky_inverse(k):
-    """L^-1 for the integer Gram matrix L L^T of the _so3_invariants(k)
-    tensors, lower triangular."""
-    t = np.stack([u.ravel() for u in _so3_invariants(k)])
-    return np.linalg.inv(np.linalg.cholesky(t @ t.T))
-
-
 class _Frame:
     """Orthonormal frame Q of one grade slice's SO(3)-invariant subspace.
 
-    Q = B W for the integer basis B of _invariant_entries.  Every piece
-    column is one signed blade, so columns of B with different piece
-    choices share no entry, and the columns of one piece choice, one per
-    invariant tensor, have the Gram matrix of those tensors: B^T B is block
-    diagonal by piece choice (diagonal at arity <= 2), every block the same
-    small integer matrix L L^T per spin-1 axis count, and W applies L^-T.
-    Q is held like B, as its nonzero entries sorted by column, never as a
-    dense (entries x columns) array: rows @ Q is a gather and a per-column
-    sum, and coordinates @ Q^T a scatter.  perm[j] is the sorted slice's
-    input axis behind input axis j of this frame's slice: frames of
-    unsorted sequences permute the sorted slice's entry indices.
+    Q is built like the integer basis B, by _invariant_entries, from the
+    orthonormal invariant tensors instead of the integer ones, so it has
+    B's column order and spans the same subspace.  Q is held as its nonzero
+    entries sorted by column, never as a dense (entries x columns) array:
+    rows @ Q is a gather and a per-column sum, and coordinates @ Q^T a
+    scatter.  The null solves of the span flow run on Q's entries
+    (as_slice).  perm[j] is the sorted slice's input axis behind input axis
+    j of this frame's slice: frames of unsorted sequences permute the
+    sorted slice's entry indices.
     """
 
     def __init__(self, name, grades, dims, perm, flat, col, val, cols, starts=None):
@@ -715,33 +717,18 @@ class _Frame:
         self.starts = starts
 
     @classmethod
-    def build(cls, alg, output, inputs, entries=None):
-        """The frame of inputs -> output from its basis's entries (by
-        default _invariant_entries')."""
+    def build(cls, alg, output, inputs):
+        """The frame of the slice inputs -> output."""
         grades = (output,) + tuple(inputs)
-        flat, col, val, cols = entries or _invariant_entries(alg, grades)
-        # B^T B's diagonal, all of it where a piece choice has one tensor
-        norm = np.sqrt(np.bincount(col, val * val, minlength=cols))
-        one, parts = np.ones(len(col), dtype=bool), []
-        for start, pieces, k in _shared_blocks(alg, grades):
-            linv = _invariant_cholesky_inverse(k)
-            lo, hi = np.searchsorted(col, [start, start + pieces * len(linv)])
-            one[lo:hi] = False
-            f, v = flat[lo:hi], val[lo:hi]
-            u, p = np.divmod(col[lo:hi] - start, pieces)
-            # column (t, p) of Q is the sum over u <= t of L^-1[t, u] B[:, (u, p)]
-            for t in range(len(linv)):
-                keep = u <= t
-                at = start + t * pieces + p[keep]
-                parts.append((f[keep], at, v[keep] * linv[t, u[keep]]))
-        parts.append((flat[one], col[one], val[one] / norm[col[one]]))
-        flat, col, val = map(np.concatenate, zip(*parts))
-        if len(parts) > 1:  # the shared blocks' columns back in order
-            order = np.argsort(col, kind="stable")
-            flat, col, val = flat[order], col[order], val[order]
+        entries = _invariant_entries(alg, grades, orthonormal=True)
         dims = tuple(len(alg.grade_indices(g)) for g in grades)
         perm = tuple(range(len(inputs)))
-        return cls(alg.name, grades, dims, perm, flat, col, val, cols)
+        return cls(alg.name, grades, dims, perm, *entries)
+
+    def as_slice(self):
+        """The slice of this frame, solved on Q's entries."""
+        entries = self.flat, self.col, self.val, self.cols
+        return _FramedSlice(self.grades[1:], self.grades[0], entries)
 
     def permuted(self, perm):
         """The frame of this sorted slice with input axis j taken from its
@@ -833,27 +820,26 @@ def _reduced_stacks(alg, group, gs):
     grades = (gs.output_grade,) + gs.input_grades
     entries = getattr(gs, "entries", None)
     flat, col, val, cols = entries or _invariant_entries(alg, grades)
-    terms = _generator_blocks(alg, "se3", _GENERATING_SET)
-    if group == "se3" and not terms:  # ega: nothing constrains the columns
+    tz = _tz_blocks(alg)
+    if group == "se3" and tz is None:  # ega: nothing constrains the columns
         yield np.ones(cols, dtype=bool), np.zeros((0, cols))
         return
     dims = [len(alg.grade_indices(g)) for g in grades]
     index = np.unravel_index(flat, dims)
     even = _mirror_even(alg, gs, index, col, cols)
     parities = [even] if group == "e3" else [even, ~even]
-    if not terms:  # ega, e3
+    if tz is None:  # ega, e3
         yield even, np.zeros((0, np.count_nonzero(even)))
         return
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
     parts = []
-    for k, (_, blocks) in enumerate(terms):
-        for j, (g, i) in enumerate(zip(grades, index)):
-            # the entry at index b moves to o with weight move[o, b]
-            move = blocks[g] if j == 0 else -blocks[g].T
-            o, e = np.nonzero(move[:, i])
-            b = i[e]
-            row = k * math.prod(dims) + flat[e] + (o - b) * strides[j]
-            parts.append((row, col[e], val[e] * move[o, b]))
+    for j, (g, i) in enumerate(zip(grades, index)):
+        # the entry at index b moves to o with weight move[o, b]
+        move = tz[g] if j == 0 else -tz[g].T
+        o, e = np.nonzero(move[:, i])
+        b = i[e]
+        row = flat[e] + (o - b) * strides[j]
+        parts.append((row, col[e], val[e] * move[o, b]))
     rows, at, weights = map(np.concatenate, zip(*parts))
     # the generator stays suspended through the caller's SVDs: drop what it
     # holds, and split off each block's moved entries before any stack is
@@ -888,14 +874,14 @@ def solve_multilinear_dim(
     grade_slice,
     *,
     entry_cap=DEFAULT_ENTRY_CAP,
-    rel_tol=1e-10,
     method=None,
 ):
     """Dimension of the equivariant maps on one grade slice.
 
-    By default ("reduced") the slice is solved in reduced coordinates: the
-    z translation constraints on an integer basis of the slice's
-    rotation-invariant subspace, one singular value decomposition per
+    By default the slice is solved in reduced coordinates: the z
+    translation constraints on the exact integer basis of the slice's
+    rotation-invariant subspace (on its frame's orthonormal basis when the
+    slice comes from the span flow), one singular value decomposition per
     mirror-parity block of its columns, for e3 on the even block only (no
     column: 0; no constraint row: the column count).  The constraint rows
     are built from the basis's nonzero entries and only the rows they
@@ -917,10 +903,10 @@ def solve_multilinear_dim(
         raise SliceTooLargeError(
             f"slice too large: {vec} map entries exceeds the cap {entry_cap}"
         )
-    if method is None or method == "reduced":
-        return _nullspace_dim(_reduced_stacks(alg, group, grade_slice), rel_tol)
+    if method is None:
+        return _nullspace_dim(_reduced_stacks(alg, group, grade_slice))
     if method == "dense":
-        return _nullspace_dim([(None, _slice_stack(alg, group, grade_slice))], rel_tol)
+        return _nullspace_dim([(None, _slice_stack(alg, group, grade_slice))])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -976,18 +962,15 @@ class _SpanBuilder:
     in full coordinates, as (n_basis, out_dim, in_dim_1, ..., in_dim_k)
     arrays with orthonormal flattened rows; full-length sequences stay in
     frame coordinates, where the union over input permutations is taken.
-    Frames of sorted slices live with the builder (those of a whole slice
-    only until its union is taken), and so do the basis entries they were
-    built from, for the null solves of the same slices (algebra_span_dim
-    takes them out).
+    Frames of sorted slices live with the builder; algebra_span_dim takes
+    those of a whole slice out for the slice's null solves.
     """
 
-    def __init__(self, alg, group, with_join, rel_tol=1e-10):
+    def __init__(self, alg, group, with_join):
         self.alg = alg
-        self.rel_tol = rel_tol
         self.grades = range(alg.n + 1)
         self.grade_idx = [alg.grade_indices(k) for k in self.grades]
-        self.lin = _linear_blocks(alg, group, rel_tol)[0]
+        self.lin = _linear_blocks(alg, group)[0]
         tensors = [alg.gp_tensor]
         if with_join:
             tensors.append(alg.join_tensor)
@@ -1009,7 +992,6 @@ class _SpanBuilder:
             self.prods.append(pairs)
         self.memo = {}
         self.frames = {}
-        self.entries = {}
 
     def _frame(self, go, seq, perm=None):
         """The frame of the slice seq -> go, from its sorted slice's frame
@@ -1018,12 +1000,11 @@ class _SpanBuilder:
         key = (go, tuple(sorted(seq)))
         base = self.frames.get(key)
         if base is None:
-            entries = self.entries[key] = _invariant_entries(self.alg, (go,) + key[1])
-            base = self.frames[key] = _Frame.build(self.alg, go, key[1], entries)
+            base = self.frames[key] = _Frame.build(self.alg, go, key[1])
         return base.permuted(_sorting_perm(seq) if perm is None else perm)
 
     def _reduce(self, rows):
-        return _reduce_rows(np.vstack(rows), self.rel_tol, abs_tol=_SPAN_FLOOR)
+        return _reduce_rows(np.vstack(rows), abs_tol=_SPAN_FLOOR)
 
     def reduced(self, seq):
         """{output grade: (frame, orthonormal coordinate rows)} of the maps
@@ -1128,8 +1109,6 @@ class _SpanBuilder:
                 if frame.perm != want:
                     coords = self._frame(go, seq, want).project(frame.lift(coords))
                 rows.setdefault(go, []).append(coords)
-        for go in self.grades:
-            self.frames.pop((go, tuple(sorted(inputs))), None)
         return {go: self._reduce(r).shape[0] for go, r in rows.items()}
 
 
@@ -1166,33 +1145,20 @@ class SpanReport:
     expectation: str = None  # "equal" or "gap"
     passed: bool = None
 
-    def counted(self):
-        return [s for s in self.slices if not s.skipped]
-
     def all_equal(self):
-        return all(s.span_dim == s.nullspace_dim for s in self.counted())
+        return all(s.span_dim == s.nullspace_dim for s in self.slices)
 
     def has_gap(self):
-        good = all(s.span_dim <= s.nullspace_dim for s in self.counted())
-        return good and any(
-            s.span_dim < s.nullspace_dim for s in self.counted()
-        )
+        good = all(s.span_dim <= s.nullspace_dim for s in self.slices)
+        return good and any(s.span_dim < s.nullspace_dim for s in self.slices)
 
     def to_dict(self):
         return {**asdict(self), "slices": [s.to_dict() for s in self.slices]}
 
 
-def algebra_span_dim(
-    algebra,
-    l,
-    with_join=False,
-    group="se3",
-    *,
-    entry_cap=DEFAULT_ENTRY_CAP,
-    rel_tol=1e-10,
-    skip_oversize=False,
-):
-    """Span-versus-nullspace report for all grade slices of arity l."""
+def algebra_span_dim(algebra, l, with_join=False, group="se3"):
+    """Span-versus-nullspace report for all grade slices of arity l.  Each
+    slice's null space is solved on the frame its span was reduced in."""
     alg = _algebra(algebra)
     _check_group(group)
     if l not in (2, 3, 4):
@@ -1201,46 +1167,22 @@ def algebra_span_dim(
         raise ValueError("the join span is only defined for the projective algebra")
     if with_join and group != "se3":
         raise ValueError("the join commutes with the orientation-preserving group only")
-    builder = _SpanBuilder(alg, group, with_join, rel_tol)
-
-    def null_dim(ms, o):
-        # on the invariant entries the span's frame was built from, if any
-        gs = _FramedSlice(ms, o, builder.entries.pop((o, ms), None))
-        try:
-            return solve_multilinear_dim(
-                alg,
-                group,
-                gs,
-                entry_cap=entry_cap,
-                rel_tol=rel_tol,
-            )
-        except SliceTooLargeError:
-            if skip_oversize:
-                return None
-            raise
-
+    builder = _SpanBuilder(alg, group, with_join)
     entries = []
     for ms in itertools.combinations_with_replacement(range(alg.n + 1), l):
         span_dims = builder.slice_span_dims(ms)
         for o in range(alg.n + 1):
-            dim = null_dim(ms, o)
-            entries.append(
-                SliceEntry(
-                    inputs=ms,
-                    output=o,
-                    span_dim=span_dims.get(o, 0),
-                    nullspace_dim=dim,
-                    skipped=dim is None,
-                )
-            )
-    counted = [e for e in entries if not e.skipped]
+            # no span row reached an output grade whose frame was never built
+            frame = builder.frames.pop((o, ms), None) or _Frame.build(alg, o, ms)
+            dim = solve_multilinear_dim(alg, group, frame.as_slice())
+            entries.append(SliceEntry(ms, o, span_dims.get(o, 0), dim))
     return SpanReport(
         l=l,
         algebra=alg.name,
         with_join=with_join,
         group=group,
-        span_dim=sum(e.span_dim for e in counted),
-        nullspace_dim=sum(e.nullspace_dim for e in counted),
+        span_dim=sum(e.span_dim for e in entries),
+        nullspace_dim=sum(e.nullspace_dim for e in entries),
         slices=entries,
     )
 
@@ -1253,13 +1195,7 @@ _CONJECTURE_CASES = (
 )
 
 
-def verify_conjecture(
-    l_max=3,
-    long=False,
-    include_heavy=False,
-    *,
-    entry_cap=DEFAULT_ENTRY_CAP,
-):
+def verify_conjecture(l_max=3, long=False, include_heavy=False):
     """Span equals null space on every slice, algebra by algebra.
 
     Expectation per case: equality for the Euclidean and conformal
@@ -1267,8 +1203,7 @@ def verify_conjecture(
     somewhere for the projective algebra without it.  Arities 3 and 4 for
     the larger algebras run only with long=True; the conformal algebra at
     arity 4 additionally needs include_heavy=True (each of its ten
-    100 000-entry slices takes about 7 s to solve).  At arity 4,
-    slices over entry_cap are skipped.
+    100 000-entry slices takes about 7 s to solve).
     """
     if not 2 <= l_max <= 4:
         raise ValueError(f"l_max {l_max} outside 2..4")
@@ -1281,14 +1216,7 @@ def verify_conjecture(
                 continue
             if l == 4 and name == "cga" and not include_heavy:
                 continue
-            rep = algebra_span_dim(
-                name,
-                l,
-                with_join=wj,
-                group="se3",
-                entry_cap=entry_cap,
-                skip_oversize=(l == 4),
-            )
+            rep = algebra_span_dim(name, l, with_join=wj, group="se3")
             rep.expectation = "gap" if (name == "pga" and not wj) else "equal"
             rep.passed = rep.has_gap() if rep.expectation == "gap" else rep.all_equal()
             reports.append(rep)

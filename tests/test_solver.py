@@ -25,9 +25,7 @@ from gaeq.solver import (
     EquivarianceSpotCheckWarning,
     GradeSlice,
     _Frame,
-    _GENERATING_SET,
     _SpanBuilder,
-    _generator_blocks,
     _invariant_entries,
     _linear_slice_svds,
     _mirror_even,
@@ -36,6 +34,7 @@ from gaeq.solver import (
     _spot_check_generic_generator,
     _spin_pieces,
     _spot_check_residual,
+    _tz_blocks,
     SliceTooLargeError,
     algebra_span_dim,
     closed_form_basis,
@@ -563,7 +562,7 @@ def test_reduced_edge_cases(ega):
     for group in ("se3", "e3"):
         assert solve_multilinear_dim(ega, group, gs) == 0
     # ega has no translation, so no constraint is left on invariant columns
-    assert _generator_blocks(ega, "se3", _GENERATING_SET) == []
+    assert _tz_blocks(ega) is None
     # the dot product is mirror-even and kept; the cross product is
     # mirror-odd and cut
     dot, cross = GradeSlice((1, 1), 0), GradeSlice((1, 1), 1)
@@ -697,6 +696,11 @@ def assert_frame_spans_invariant_basis(alg, inputs, output):
     b = invariant_basis(alg, GradeSlice(inputs, output)).reshape(frame.size, -1)
     assert b.shape[1] == frame.cols
     assert np.abs(b - q @ (q.T @ b)).max(initial=0.0) <= 1e-12
+    # column order kept: Q is B's Gram-Schmidt, so Q^T B is upper
+    # triangular with a positive diagonal
+    r = q.T @ b
+    assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-12
+    assert (np.diag(r) > 0).all()
 
 
 @pytest.mark.parametrize("name", ["ega", "pga", "cga"])
@@ -710,6 +714,16 @@ def test_frames_are_orthonormal_bases_of_the_invariant_subspace(name, arity):
 @pytest.mark.parametrize("name, inputs, output", ARITY3_FRAMES)
 def test_arity3_frames_are_orthonormal_bases(name, inputs, output):
     assert_frame_spans_invariant_basis(get_algebra(name), inputs, output)
+
+
+@pytest.mark.parametrize("group", ["e3", "se3"])
+@pytest.mark.parametrize("name, inputs, output", ARITY3_FRAMES)
+def test_null_solve_on_frame_entries_matches_the_integer_basis(name, inputs, output, group):
+    # the span flow solves each slice on its frame's entries
+    alg = get_algebra(name)
+    frame = _Frame.build(alg, output, inputs)
+    got = solve_multilinear_dim(alg, group, frame.as_slice())
+    assert got == solve_multilinear_dim(alg, group, GradeSlice(inputs, output))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ line; tests/golden/verify_l3_long_se3.json holds the eight reports of
 verify_conjecture(l_max=3, long=True) the same way, and is compared only
 with GAEQ_LONG=1, since it runs the long arities; so is
 tests/golden/verify_l4_long_se3.json, the arity-4 reports of ega, pga and
-pga with the join from algebra_span_dim(..., 4, skip_oversize=True).
+pga with the join from algebra_span_dim(..., 4).
 Those reports are all se3, so
 tests/golden/null_dims_e3.json pins the e3 null-space dimension of every
 sorted slice of arity 1 to 3 of the three algebras (909 slices, at most
@@ -55,7 +55,7 @@ def render(reports):
 def l4_reports():
     """The arity-4 se3 reports of ega, pga and pga with the join."""
     return [
-        algebra_span_dim(name, 4, with_join=wj, skip_oversize=True)
+        algebra_span_dim(name, 4, with_join=wj)
         for name, wj in (("ega", False), ("pga", False), ("pga", True))
     ]
 
