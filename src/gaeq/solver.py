@@ -1172,10 +1172,10 @@ def algebra_span_dim(algebra, l, with_join=False, group="se3"):
     for ms in itertools.combinations_with_replacement(range(alg.n + 1), l):
         span_dims = builder.slice_span_dims(ms)
         for o in range(alg.n + 1):
-            # no span row reached an output grade whose frame was never built
+            # built here when no span row reached this output grade
             frame = builder.frames.pop((o, ms), None) or _Frame.build(alg, o, ms)
             dim = solve_multilinear_dim(alg, group, frame.as_slice())
-            entries.append(SliceEntry(ms, o, span_dims.get(o, 0), dim))
+            entries.append(SliceEntry(ms, o, span_dims.get(o, 0), nullspace_dim=dim))
     return SpanReport(
         l=l,
         algebra=alg.name,
