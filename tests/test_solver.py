@@ -865,7 +865,7 @@ def test_span_dims_frozen(span_reports):
 
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
 def test_e3_span_within_e3_and_se3_null_spaces(span_reports):
-    # the full group keeps fewer maps on every slice: its span stays inside
+    # the full group keeps no more maps on any slice: its span stays inside
     # its own null space, which stays inside the se3 one
     got = {}
     for name in ("ega", "pga", "cga"):
