@@ -21,8 +21,6 @@ infinity = e- - e+ and origin = (e- + e+)/2, so that
 <inf, inf> = <o, o> = 0 and <inf, o> = -1.
 """
 
-import math
-
 import numpy as np
 
 __all__ = [

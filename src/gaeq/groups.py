@@ -26,9 +26,7 @@ import numpy as np
 from gaeq.algebra import (
     ga_exp,
     geometric_product,
-    get_algebra,
     inner,
-    involute,
     left_mult_matrix,
     mv_inverse,
     right_mult_matrix,

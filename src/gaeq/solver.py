@@ -41,6 +41,13 @@ builder, groups.constraint_rows, as the independent reference.  The linear
 basis is solved block by block, as the (d+1)^2 arity-1 slices, on their
 frames Q; linear_constraint_spectrum keeps the dense stacks.  Standalone
 slices whose flattened map exceeds the entry cap raise SliceTooLargeError.
+
+What the span check needs and depends only on the algebra, the group and
+the slice is solved once per process and shared, read-only: the linear
+blocks (_linear_blocks), the frame of each sorted slice (_sorted_frame)
+and its null dimension (_slice_null_dim).  A check with more products, the
+projective algebra with the join, reuses those of the check without.
+Standalone solve_multilinear_dim calls are not cached.
 """
 
 import functools
@@ -48,6 +55,7 @@ import itertools
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -268,8 +276,10 @@ def _linear_slice_svds(alg, group):
     return svds, spectrum
 
 
+@functools.lru_cache(maxsize=None)
 def _linear_blocks(alg, group):
-    """({(go, gi): orthonormal (k, n_go, n_gi) kernel basis}, full maps).
+    """({(go, gi): orthonormal (k, n_go, n_gi) kernel basis}, full maps),
+    solved once per process; every array is read-only.
 
     Each (output, input) grade block is solved as the arity-1 slice it is,
     on an orthonormal frame Q of its SO(3)-invariant subspace (_Frame):
@@ -283,7 +293,7 @@ def _linear_blocks(alg, group):
     solved, spectra = [], [np.zeros(0)]
     for go in range(alg.n + 1):
         for gi in range(alg.n + 1):
-            frame = _Frame.build(alg, go, (gi,))
+            frame = _sorted_frame(alg, go, (gi,))
             for cols, stack in _reduced_stacks(alg, group, frame.as_slice()):
                 # all of vt: the kernel can be wider than the stack is tall
                 _, s, vt = np.linalg.svd(stack)
@@ -308,7 +318,9 @@ def _linear_blocks(alg, group):
         maps[-1][:, io[:, None], ii] = blocks[(go, gi)]
     maps = np.concatenate(maps)
     _spot_check_generic_generator(alg, maps.reshape(maps.shape[0], -1))
-    return blocks, maps
+    for a in (maps, *blocks.values()):
+        a.flags.writeable = False
+    return MappingProxyType(blocks), maps
 
 
 def solve_linear_basis(algebra, group="e3"):
@@ -321,7 +333,7 @@ def solve_linear_basis(algebra, group="e3"):
     """
     alg = _algebra(algebra)
     _check_group(group)
-    return LinearMapBasis(alg.name, group, _linear_blocks(alg, group)[1])
+    return LinearMapBasis(alg.name, group, _linear_blocks(alg, group)[1].copy())
 
 
 def linear_constraint_spectrum(algebra, group="e3"):
@@ -714,6 +726,7 @@ class _Frame:
         self.size = math.prod(dims)
         if starts is None:  # the first entry of each column; every column has one
             starts = np.flatnonzero(np.diff(col, prepend=-1))
+            starts.flags.writeable = False
         self.starts = starts
 
     @classmethod
@@ -772,6 +785,14 @@ class _Frame:
         at = (np.arange(k)[:, None] * self.size + self.flat).ravel()
         weights = (coords[:, self.col] * self.val).ravel()
         return np.bincount(at, weights, minlength=k * self.size).reshape(k, self.size)
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_frame(alg, output, inputs):
+    """The frame of the sorted slice inputs -> output, built once per
+    process: the linear blocks, the span builder and the slice's null solve
+    share it."""
+    return _Frame.build(alg, output, inputs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -962,15 +983,17 @@ class _SpanBuilder:
     in full coordinates, as (n_basis, out_dim, in_dim_1, ..., in_dim_k)
     arrays with orthonormal flattened rows; full-length sequences stay in
     frame coordinates, where the union over input permutations is taken.
-    Frames of sorted slices live with the builder; algebra_span_dim takes
-    those of a whole slice out for the slice's null solves.
+    The linear blocks and the frames of sorted slices come from the
+    per-process caches (_linear_blocks, _sorted_frame); the builder holds
+    its own dict of the blocks, which it may change without touching the
+    cached one.
     """
 
     def __init__(self, alg, group, with_join):
         self.alg = alg
         self.grades = range(alg.n + 1)
         self.grade_idx = [alg.grade_indices(k) for k in self.grades]
-        self.lin = _linear_blocks(alg, group)[0]
+        self.lin = dict(_linear_blocks(alg, group)[0])
         tensors = [alg.gp_tensor]
         if with_join:
             tensors.append(alg.join_tensor)
@@ -991,16 +1014,12 @@ class _SpanBuilder:
                         pairs[(ga, gb)] = mat, list(zip(outs, bounds[:-1], bounds[1:]))
             self.prods.append(pairs)
         self.memo = {}
-        self.frames = {}
 
     def _frame(self, go, seq, perm=None):
         """The frame of the slice seq -> go, from its sorted slice's frame
         with the input axes permuted by perm (default: seq's sorting
         permutation)."""
-        key = (go, tuple(sorted(seq)))
-        base = self.frames.get(key)
-        if base is None:
-            base = self.frames[key] = _Frame.build(self.alg, go, key[1])
+        base = _sorted_frame(self.alg, go, tuple(sorted(seq)))
         return base.permuted(_sorting_perm(seq) if perm is None else perm)
 
     def _reduce(self, rows):
@@ -1156,9 +1175,20 @@ class SpanReport:
         return {**asdict(self), "slices": [s.to_dict() for s in self.slices]}
 
 
+@functools.lru_cache(maxsize=None)
+def _slice_null_dim(alg, group, output, inputs):
+    """The null dimension of the sorted slice inputs -> output, solved once
+    per process on its frame's entries: it does not depend on the products
+    that build the span."""
+    return solve_multilinear_dim(alg, group, _sorted_frame(alg, output, inputs).as_slice())
+
+
 def algebra_span_dim(algebra, l, with_join=False, group="se3"):
     """Span-versus-nullspace report for all grade slices of arity l.  Each
-    slice's null space is solved on the frame its span was reduced in."""
+    slice's null space is solved on the frame its span was reduced in, once
+    per process (_slice_null_dim): a second check of the same algebra and
+    group, such as the projective one with the join, reuses the dimensions
+    of the first."""
     alg = _algebra(algebra)
     _check_group(group)
     if l not in (2, 3, 4):
@@ -1172,9 +1202,7 @@ def algebra_span_dim(algebra, l, with_join=False, group="se3"):
     for ms in itertools.combinations_with_replacement(range(alg.n + 1), l):
         span_dims = builder.slice_span_dims(ms)
         for o in range(alg.n + 1):
-            # built here when no span row reached this output grade
-            frame = builder.frames.pop((o, ms), None) or _Frame.build(alg, o, ms)
-            dim = solve_multilinear_dim(alg, group, frame.as_slice())
+            dim = _slice_null_dim(alg, group, o, ms)
             entries.append(SliceEntry(ms, o, span_dims.get(o, 0), nullspace_dim=dim))
     return SpanReport(
         l=l,

@@ -17,7 +17,7 @@ from gaeq.algebra import (
     inner,
     left_mult_matrix,
 )
-from gaeq.embeddings import embed_point_cga, embed_point_ega, embed_point_pga
+from gaeq.embeddings import embed_point_cga, embed_point_pga
 from gaeq.groups import random_motion
 from gaeq.layers import MvChannels, NormConfig, attn_logits, equi_norm
 from gaeq.solver import (

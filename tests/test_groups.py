@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gaeq.algebra import ga_exp, geometric_product, get_algebra, inner, sandwich
+from gaeq.algebra import ga_exp, geometric_product, inner, sandwich
 from gaeq.groups import (
-    EuclideanMotion,
     RepMatrix,
     Versor,
     _kron,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gaeq.algebra import geometric_product, get_algebra, grade_project, inner
+from gaeq.algebra import get_algebra, grade_project, inner
 from gaeq.embeddings import (
     PointAtInfinityError,
     embed_point_cga,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaeq.algebra import get_algebra, inner, left_mult_matrix
+from gaeq.algebra import get_algebra, inner
 from gaeq.embeddings import embed_point_pga
 from gaeq.groups import (
     GROUPS,
@@ -27,10 +27,13 @@ from gaeq.solver import (
     _Frame,
     _SpanBuilder,
     _invariant_entries,
+    _linear_blocks,
     _linear_slice_svds,
     _mirror_even,
     _reduced_stacks,
+    _slice_null_dim,
     _so3_invariants,
+    _sorted_frame,
     _spot_check_generic_generator,
     _spin_pieces,
     _spot_check_residual,
@@ -782,6 +785,59 @@ def test_non_equivariant_linear_block_fails_the_span_loudly(pga, rng):
     builder.lin[(1, 1)] = block + 1e-3 * rng.normal(size=block.shape)
     with pytest.raises(AssertionError, match=r"pga slice \(1, 1\)->\d"):
         builder.slice_span_dims((1, 1))
+
+
+def test_cached_blocks_and_frames_are_read_only(pga):
+    blocks, maps = _linear_blocks(pga, "se3")
+    frame = _sorted_frame(pga, 2, (1, 2))
+    for a in (blocks[(1, 1)], maps, frame.flat, frame.col, frame.val, frame.starts):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    with pytest.raises(TypeError):
+        blocks[(1, 1)] = maps
+
+
+def test_solved_maps_are_the_callers_copy(pga):
+    maps = solve_linear_basis(pga, "se3").maps
+    want = maps.copy()
+    maps[0] += 1.0
+    assert np.array_equal(solve_linear_basis(pga, "se3").maps, want)
+
+
+def test_fresh_builder_sees_the_true_block_after_poisoning(pga, rng):
+    # the reassignment of the test above stays with its builder
+    want = _linear_blocks(pga, "se3")[0][(1, 1)].copy()
+    poisoned = _SpanBuilder(pga, "se3", False)
+    poisoned.lin[(1, 1)] = want + 1e-3 * rng.normal(size=want.shape)
+    assert np.array_equal(_linear_blocks(pga, "se3")[0][(1, 1)], want)
+    assert np.array_equal(_SpanBuilder(pga, "se3", False).lin[(1, 1)], want)
+
+
+def clear_span_caches():
+    for cache in (_linear_blocks, _sorted_frame, _slice_null_dim):
+        cache.cache_clear()
+
+
+def test_span_cases_share_the_cached_solves():
+    # every sorted arity-2 slice is solved once: 40 ega, 126 cga and 75 pga
+    # null dimensions, the 75 pga ones reused by pga with the join
+    clear_span_caches()
+    verify_conjecture(l_max=2)
+    nulls, blocks = _slice_null_dim.cache_info(), _linear_blocks.cache_info()
+    assert (nulls.misses, nulls.hits) == (241, 75)
+    assert (blocks.misses, blocks.hits) == (3, 1)
+
+
+def test_join_case_does_not_depend_on_cache_state():
+    clear_span_caches()
+    cold = algebra_span_dim("pga", 2, with_join=True).to_dict()
+    clear_span_caches()
+    algebra_span_dim("pga", 2)
+    warm = algebra_span_dim("pga", 2, with_join=True).to_dict()
+    assert cold == warm
+    with open(GOLDEN_DIR / "verify_l2_se3.json") as fh:
+        golden = [r for r in json.load(fh) if (r["algebra"], r["with_join"]) == ("pga", True)]
+    assert cold == {**golden[0], "expectation": None, "passed": None}
 
 
 @pytest.mark.parametrize("group", ["e3", "se3"])
