@@ -239,6 +239,8 @@ def _sample_motion(variant, rng):
 def cmd_check_equivariance(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.tokens < 1:
+        raise ValueError(f"--tokens must be at least 1, got {args.tokens}")
     overrides = {}
     for key in ("blocks", "mv_channels", "scalar_channels", "heads"):
         v = getattr(args, key)

@@ -18,20 +18,18 @@ Three cooperating pieces:
 
 Solving always works grade slice by grade slice; the full tensor space is
 never materialized.  Every slice is solved in reduced coordinates: its
-columns are a basis of the slice's rotation-invariant subspace (every
-equivariant map lies there), built in closed form from the spin-0 and
-spin-1 pieces of each grade block and the delta/epsilon invariant tensors
-of SO(3), and its rows are the z translation constraints only, applied axis
-by axis to the basis tensor.  One construction gives both bases: fed the
-integer invariant tensors it gives the exact integer basis B of a
-standalone solve, fed the same tensors orthonormalised once per spin-1 axis
-count it gives the orthonormal frame Q the span is reduced in, and the span
-flow solves each slice's null space on Q's entries.  The mirror maps every
-invariant column to itself or to its negative and commutes with the z
-translation, so the constraint stack is block diagonal over the two mirror
-parities: each block gets its own singular value decomposition, the rank
-cut is taken once on their merged spectrum, and the full group keeps the
-even block only and adds no row.  The basis is held as the list of its
+columns are an orthonormal basis Q of the slice's rotation-invariant
+subspace (every equivariant map lies there), built in closed form from the
+spin-0 and spin-1 pieces of each grade block and the delta/epsilon
+invariant tensors of SO(3), orthonormalised once per spin-1 axis count, and
+its rows are the z translation constraints only, applied axis by axis to
+the basis tensor.  Q is the one basis of a slice: its null solve runs on
+Q's entries, and its span is reduced in Q's coordinates.  The mirror maps
+every invariant column to itself or to its negative and commutes with the
+z translation, so the constraint stack is block diagonal over the two
+mirror parities: each block gets its own singular value decomposition, the
+rank cut is taken once on their merged spectrum, and the full group keeps
+the even block only and adds no row.  The basis is held as the list of its
 nonzero entries, each column one per nonzero of its invariant tensor, and
 the constraint moves each entry by index arithmetic, so each stack holds
 only the rows some entry reaches and memory follows the constraints, not
@@ -39,15 +37,16 @@ the basis.  The solver runs on numpy alone.
 method="dense" keeps the full stacked constraint matrix of one constraint
 builder, groups.constraint_rows, as the independent reference.  The linear
 basis is solved block by block, as the (d+1)^2 arity-1 slices, on their
-frames Q; linear_constraint_spectrum keeps the dense stacks.  Standalone
-slices whose flattened map exceeds the entry cap raise SliceTooLargeError.
+frames Q; linear_constraint_spectrum keeps the dense stacks.  Slices whose
+flattened map exceeds DEFAULT_ENTRY_CAP raise SliceTooLargeError.
 
-What the span check needs and depends only on the algebra, the group and
-the slice is solved once per process and shared, read-only: the linear
-blocks (_linear_blocks), the frame of each sorted slice (_sorted_frame)
-and its null dimension (_slice_null_dim).  A check with more products, the
-projective algebra with the join, reuses those of the check without.
-Standalone solve_multilinear_dim calls are not cached.
+What depends only on the algebra, the group and the slice is built once
+per process and shared, read-only: each slice's basis entries
+(_invariant_entries), the linear blocks (_linear_blocks), the frame of each
+sorted slice (_sorted_frame) and its null dimension (_slice_null_dim).  A
+check with more products, the projective algebra with the join, reuses
+those of the check without.  Standalone solve_multilinear_dim calls keep
+their slice's entries, not their dimension.
 """
 
 import functools
@@ -294,7 +293,7 @@ def _linear_blocks(alg, group):
     for go in range(alg.n + 1):
         for gi in range(alg.n + 1):
             frame = _sorted_frame(alg, go, (gi,))
-            for cols, stack in _reduced_stacks(alg, group, frame.as_slice()):
+            for cols, stack in _reduced_stacks(alg, group, GradeSlice((gi,), go)):
                 # all of vt: the kernel can be wider than the stack is tall
                 _, s, vt = np.linalg.svd(stack)
                 solved.append((go, gi, frame, cols, s, vt))
@@ -541,14 +540,6 @@ class GradeSlice:
         return ins, len(alg.grade_indices(self.output_grade))
 
 
-@dataclass(frozen=True)
-class _FramedSlice(GradeSlice):
-    """A grade slice with the (flat, col, val, cols) nonzero entries of the
-    invariant columns to solve it on, when its caller already holds them."""
-
-    entries: tuple = field(default=None, compare=False, repr=False)
-
-
 def _slice_reps(alg, group, gs):
     """(output rep, input reps) of every generator restricted to a slice."""
     return [
@@ -593,25 +584,17 @@ def _so3_invariants(k):
 
 
 @functools.lru_cache(maxsize=None)
-def _orthonormal_invariants(k):
-    """L^-1 T: the _so3_invariants(k) tensors T made orthonormal, where
-    L L^T = T T^T is their integer Gram matrix, so that tensor t mixes the
-    integer tensors 0..t."""
+def _invariant_nonzeros(k):
+    """[(spin-1 axis indices (k, n), values (n,))]: the nonzeros of the
+    _so3_invariants(k) tensors T made orthonormal, L^-1 T, where L L^T = T T^T
+    is their integer Gram matrix, so that tensor t mixes the integer tensors
+    0..t."""
     tensors = _so3_invariants(k)
     if not tensors:
         return []
     t = np.stack([u.ravel() for u in tensors])
     onb = np.linalg.inv(np.linalg.cholesky(t @ t.T)) @ t
-    return [row.reshape(u.shape) for row, u in zip(onb, tensors)]
-
-
-@functools.lru_cache(maxsize=None)
-def _invariant_nonzeros(k, orthonormal):
-    """[(spin-1 axis indices (k, n), values (n,))]: the nonzeros of each
-    _so3_invariants(k) tensor, or of each _orthonormal_invariants(k)
-    tensor."""
-    tensors = _orthonormal_invariants(k) if orthonormal else _so3_invariants(k)
-    return [(np.argwhere(t).T, t[t != 0]) for t in tensors]
+    return [(np.argwhere(r.reshape(u.shape)).T, r[r != 0]) for r, u in zip(onb, tensors)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -665,31 +648,31 @@ def _blade_tables(alg):
     return tables
 
 
-def _invariant_entries(alg, grades, orthonormal=False):
-    """(flat, col, val, cols): the nonzero entries of a basis of the
-    SO(3)-invariant tensors on the grade blocks (output grade first), at
-    row-major flat indices, and its column count.  Every choice of one
-    rotation piece per axis and one invariant tensor on its spin-1 axes is
-    a column, the invariant contracted with the pieces; every piece column
-    is one signed blade, so each nonzero of the invariant is one entry of
-    the column.  Rotation blocks are antisymmetric, so the input axes
-    transform like the output axis.  The columns are in order, one block
-    per choice of piece widths, tensor-major within it.
+@functools.lru_cache(maxsize=None)
+def _invariant_entries(alg, grades):
+    """(flat, col, val, cols): the nonzero entries of an orthonormal basis Q
+    of the SO(3)-invariant tensors on the grade blocks (output grade first),
+    at row-major flat indices, and its column count.  Every choice of one
+    rotation piece per axis and one orthonormal invariant tensor
+    (_invariant_nonzeros) on its spin-1 axes is a column, the invariant
+    contracted with the pieces; every piece column is one signed blade, so
+    each nonzero of the invariant is one entry of the column.  Rotation
+    blocks are antisymmetric, so the input axes transform like the output
+    axis.  The columns are in order, one block per choice of piece widths,
+    tensor-major within it.  Columns with different piece choices share no
+    entry, and those with the same one have the Gram matrix of their
+    tensors, the identity: Q is the Gram-Schmidt of the integer basis B that
+    the integer tensors would give, Q = B L^-T, column for column.
 
-    With the integer invariants (_so3_invariants) this is the exact integer
-    basis B the standalone null solves run on.  With orthonormal=True the
-    same construction contracts _orthonormal_invariants instead and gives
-    an orthonormal basis Q (_Frame): columns with different piece choices
-    share no entry, and those with the same one have the Gram matrix of
-    their tensors.  Q = B L^-T, column for column.  The arrays are
-    read-only: a span frame and the null solve of its slice share them."""
+    Built once per process and read-only: every solve of the slice, and the
+    frame of a sorted slice (_Frame), read the same arrays."""
     tables = [_blade_tables(alg)[g] for g in grades]
     dims = [len(alg.grade_indices(g)) for g in grades]
     strides = np.cumprod([1] + dims[:0:-1])[::-1]
     # (flat index, column, value) arrays, from no entry on
     parts, cols = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))], 0
     for widths in itertools.product(*tables):
-        for axes, values in _invariant_nonzeros(widths.count(3), orthonormal):
+        for axes, values in _invariant_nonzeros(widths.count(3)):
             n, spin1 = values.size, iter(axes)
             # (columns so far, n), one axis at a time
             f, v = np.zeros((1, n), dtype=int), values[None]
@@ -709,15 +692,13 @@ def _invariant_entries(alg, grades, orthonormal=False):
 class _Frame:
     """Orthonormal frame Q of one grade slice's SO(3)-invariant subspace.
 
-    Q is built like the integer basis B, by _invariant_entries, from the
-    orthonormal invariant tensors instead of the integer ones, so it has
-    B's column order and spans the same subspace.  Q is held as its nonzero
-    entries sorted by column, never as a dense (entries x columns) array:
-    rows @ Q is a gather and a per-column sum, and coordinates @ Q^T a
-    scatter.  The null solves of the span flow run on Q's entries
-    (as_slice).  perm[j] is the sorted slice's input axis behind input axis
-    j of this frame's slice: frames of unsorted sequences permute the
-    sorted slice's entry indices.
+    Q is the slice's invariant basis, the entries of _invariant_entries, the
+    same arrays its null solve runs on.  Q is held as its nonzero entries
+    sorted by column, never as a dense (entries x columns) array: rows @ Q
+    is a gather and a per-column sum, and coordinates @ Q^T a scatter.
+    perm[j] is the sorted slice's input axis behind input axis j of this
+    frame's slice: frames of unsorted sequences permute the sorted slice's
+    entry indices.
     """
 
     def __init__(self, name, grades, dims, perm, flat, col, val, cols, starts=None):
@@ -733,15 +714,10 @@ class _Frame:
     def build(cls, alg, output, inputs):
         """The frame of the slice inputs -> output."""
         grades = (output,) + tuple(inputs)
-        entries = _invariant_entries(alg, grades, orthonormal=True)
+        entries = _invariant_entries(alg, grades)
         dims = tuple(len(alg.grade_indices(g)) for g in grades)
         perm = tuple(range(len(inputs)))
         return cls(alg.name, grades, dims, perm, *entries)
-
-    def as_slice(self):
-        """The slice of this frame, solved on Q's entries."""
-        entries = self.flat, self.col, self.val, self.cols
-        return _FramedSlice(self.grades[1:], self.grades[0], entries)
 
     def permuted(self, perm):
         """The frame of this sorted slice with input axis j taken from its
@@ -828,19 +804,18 @@ def _mirror_even(alg, gs, index, col, cols):
 def _reduced_stacks(alg, group, gs):
     """Yield (column mask, T_z rows on those invariant columns), one stack
     per mirror-parity block of the columns: even, then odd; e3 keeps the even
-    block only, since (M - I) B x = B (D - I) x with D = +-1 per column and
-    B of full column rank.  The mirror commutes with T_z and is a diagonal of signs,
-    so T_z moves an entry only to an index of the same sign: even columns
-    reach mirror-even rows only, odd columns odd rows, and the full stack
-    is block diagonal over the two.  Each basis entry is moved along each
+    block only, since (M - I) Q x = Q (D - I) x with D = +-1 per column and
+    Q of full column rank.  The columns are the entries of the slice's
+    _invariant_entries.  The mirror commutes with T_z and is a diagonal of
+    signs, so T_z moves an entry only to an index of the same sign: even
+    columns reach mirror-even rows only, odd columns odd rows, and the full
+    stack is block diagonal over the two.  Each basis entry is moved along each
     axis through T_z's grade block, by T[o, b] on the output axis and by
     -T[b, o] on an input axis; each stack keeps the rows that some entry of
     its block reaches, so its size follows the constraints, not the
-    basis.  The columns are a _FramedSlice's entries, by default those of
-    _invariant_entries."""
+    basis."""
     grades = (gs.output_grade,) + gs.input_grades
-    entries = getattr(gs, "entries", None)
-    flat, col, val, cols = entries or _invariant_entries(alg, grades)
+    flat, col, val, cols = _invariant_entries(alg, grades)
     tz = _tz_blocks(alg)
     if group == "se3" and tz is None:  # ega: nothing constrains the columns
         yield np.ones(cols, dtype=bool), np.zeros((0, cols))
@@ -889,27 +864,20 @@ def _parity_stack(block, rows, at, weights):
     return stack.reshape(reached.size, n)
 
 
-def solve_multilinear_dim(
-    algebra,
-    group,
-    grade_slice,
-    *,
-    entry_cap=DEFAULT_ENTRY_CAP,
-    method=None,
-):
+def solve_multilinear_dim(algebra, group, grade_slice, *, method=None):
     """Dimension of the equivariant maps on one grade slice.
 
     By default the slice is solved in reduced coordinates: the z
-    translation constraints on the exact integer basis of the slice's
-    rotation-invariant subspace (on its frame's orthonormal basis when the
-    slice comes from the span flow), one singular value decomposition per
-    mirror-parity block of its columns, for e3 on the even block only (no
-    column: 0; no constraint row: the column count).  The constraint rows
-    are built from the basis's nonzero entries and only the rows they
-    reach are kept, so the largest arity-4 conformal slice (100 000
-    entries) takes about 7.5 s and 0.34 GB for se3, nearly all of it the
-    two SVDs, taken one block at a time, and about 4 s and 0.33 GB for
-    e3.
+    translation constraints on the orthonormal basis Q of the slice's
+    rotation-invariant subspace (_invariant_entries, the basis its span
+    frame uses too), one singular value decomposition per mirror-parity
+    block of its columns, for e3 on the even block only (no column: 0; no
+    constraint row: the column count).  The constraint rows are built from
+    the basis's nonzero entries and only the rows they reach are kept, so
+    the largest arity-4 conformal slice (100 000 entries) takes about 5.5 s
+    and 0.34 GB for se3, nearly all of it the two SVDs, taken one block at a
+    time, and about 2.7 s for e3.  Slices with more than DEFAULT_ENTRY_CAP
+    map entries raise SliceTooLargeError before any work.
     method="dense" takes the singular values of the full stacked
     constraint matrix, the reference the reduced solve is checked against.
     """
@@ -920,9 +888,9 @@ def solve_multilinear_dim(
     grade_slice.validate(alg)
     ins, n_out = grade_slice.subspace_dims(alg)
     vec = n_out * math.prod(ins)
-    if vec > entry_cap:
+    if vec > DEFAULT_ENTRY_CAP:
         raise SliceTooLargeError(
-            f"slice too large: {vec} map entries exceeds the cap {entry_cap}"
+            f"slice too large: {vec} map entries exceeds the cap {DEFAULT_ENTRY_CAP}"
         )
     if method is None:
         return _nullspace_dim(_reduced_stacks(alg, group, grade_slice))
@@ -1178,9 +1146,8 @@ class SpanReport:
 @functools.lru_cache(maxsize=None)
 def _slice_null_dim(alg, group, output, inputs):
     """The null dimension of the sorted slice inputs -> output, solved once
-    per process on its frame's entries: it does not depend on the products
-    that build the span."""
-    return solve_multilinear_dim(alg, group, _sorted_frame(alg, output, inputs).as_slice())
+    per process: it does not depend on the products that build the span."""
+    return solve_multilinear_dim(alg, group, GradeSlice(inputs, output))
 
 
 def algebra_span_dim(algebra, l, with_join=False, group="se3"):

@@ -41,6 +41,7 @@ from gaeq.layers import (
     equi_norm,
     gated_nonlinearity,
 )
+from gaeq.solver import identity_coefficients
 
 __all__ = [
     "VARIANTS",
@@ -290,9 +291,7 @@ def build_model(cfg):
     if cfg.init == "identity":
         # read out exactly the designated point channel
         readout.weight[:] = 0.0
-        readout.weight[0, 0, :] = np.asarray(
-            [1.0 if n.startswith("project_grade_") else 0.0 for n in readout.family_names]
-        )
+        readout.weight[0, 0, :] = identity_coefficients(alg, cfg.group)
         readout.scalar_to_mv[:] = 0.0
         readout.mv_to_scalar[:] = 0.0
     return Model(cfg, alg, blocks, readout)

@@ -341,6 +341,12 @@ class TestParser:
         assert rc == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tokens", ["0", "-3"])
+    def test_no_tokens_exits_2(self, capsys, tokens):
+        rc = main(["check-equivariance", "--variant", "E", "--tokens", tokens])
+        assert rc == 2
+        assert f"--tokens must be at least 1, got {tokens}" in capsys.readouterr().err
+
     def test_negative_iterations_exits_2(self, capsys):
         rc = main(["norm-probe", "--algebra", "cga", "--iterations", "-3"])
         assert rc == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaeq.algebra import get_algebra, inner
+from gaeq import solver
 from gaeq.embeddings import embed_point_pga
 from gaeq.groups import (
     GROUPS,
@@ -22,6 +23,7 @@ from gaeq.groups import (
     rho,
 )
 from gaeq.solver import (
+    DEFAULT_ENTRY_CAP,
     EquivarianceSpotCheckWarning,
     GradeSlice,
     _Frame,
@@ -285,9 +287,10 @@ def test_permuted_slice_dims_equal(pga):
 
 
 def test_entry_cap_raises(cga):
+    # 10^8 map entries, over the cap: raises before any basis is built
     with pytest.raises(SliceTooLargeError) as exc:
-        solve_multilinear_dim(cga, "se3", GradeSlice((2, 2), 2), entry_cap=100)
-    assert "1000" in str(exc.value)
+        solve_multilinear_dim(cga, "se3", GradeSlice((2,) * 7, 2))
+    assert f"100000000 map entries exceeds the cap {DEFAULT_ENTRY_CAP}" in str(exc.value)
 
 
 @pytest.mark.parametrize("group", ["se3", "e3"])
@@ -417,41 +420,48 @@ def test_invariant_columns_match_character_count(name):
     ],
 )
 def test_invariant_basis_is_rotation_invariant(name, inputs, output, cols):
+    # every rotation constraint, the rotation's grade block applied on the
+    # output axis minus its transpose on every input axis, comes out exactly
+    # zero on the integer reference basis and zero to rounding on the
+    # solver's orthonormal one; both have full column rank
     alg = get_algebra(name)
     gs = GradeSlice(inputs, output)
-    q = invariant_basis(alg, gs)
-    assert q.shape[-1] == cols
-    # integer columns: every rotation constraint comes out exactly zero, the
-    # rotation's grade block applied on the output axis minus its transpose
-    # on every input axis
     indices = [alg.grade_indices(g) for g in (output, *inputs)]
-    for x in lie_generators(alg)[:3]:
-        d = drho(alg, x)
-        image = sum(
-            apply_axis(q, m if axis == 0 else -m.T, axis)
-            for axis, m in enumerate(d[np.ix_(i, i)] for i in indices)
-        )
-        assert not image.any()
-    flat = q.reshape(-1, q.shape[-1])
-    assert np.linalg.matrix_rank(flat) == q.shape[-1]
+    integer, orthonormal = loop_invariant_basis(alg, gs), invariant_basis(alg, gs)
+    for basis, exact in ((integer, True), (orthonormal, False)):
+        assert basis.shape[-1] == cols
+        for x in lie_generators(alg)[:3]:
+            d = drho(alg, x)
+            image = sum(
+                apply_axis(basis, m if axis == 0 else -m.T, axis)
+                for axis, m in enumerate(d[np.ix_(i, i)] for i in indices)
+            )
+            if exact:
+                assert not image.any()
+            else:
+                assert np.linalg.norm(image) <= 1e-12 * np.linalg.norm(basis)
+        flat = basis.reshape(-1, cols)
+        assert np.linalg.matrix_rank(flat) == cols
 
 
 def loop_invariant_basis(alg, gs):
-    """Reference form of _invariant_entries: one tensordot per piece, per
-    choice of one piece per axis."""
+    """Integer reference form of _invariant_entries, as a dense
+    (n_out, *in_dims, cols) tensor: the integer invariant tensors
+    (_so3_invariants), one tensordot per piece, per choice of one piece per
+    axis, in _invariant_entries's column order (piece widths, then tensor,
+    then pieces)."""
     grades = (gs.output_grade,) + gs.input_grades
     dims = tuple(len(alg.grade_indices(g)) for g in grades)
-    per_grade = [
-        [p for stack in _spin_pieces(alg)[g].values() for p in stack] for g in grades
-    ]
+    stacks = [_spin_pieces(alg)[g] for g in grades]
     cols = [np.zeros(dims + (0,))]
-    for pieces in itertools.product(*per_grade):
-        shape = [p.shape[1] for p in pieces]
-        for t in _so3_invariants(shape.count(3)):
-            t = t.reshape(shape)
-            for p in pieces:
-                t = np.tensordot(t, p, axes=(0, 1))
-            cols.append(t[..., None])
+    for widths in itertools.product(*stacks):
+        for t in _so3_invariants(widths.count(3)):
+            t = t.reshape(widths)
+            for pieces in itertools.product(*(s[w] for s, w in zip(stacks, widths))):
+                u = t
+                for p in pieces:
+                    u = np.tensordot(u, p, axes=(0, 1))
+                cols.append(u[..., None])
     return np.concatenate(cols, axis=-1)
 
 
@@ -694,9 +704,10 @@ def assert_frame_spans_invariant_basis(alg, inputs, output):
     frame = _Frame.build(alg, output, inputs)
     q = dense_frame(frame)
     assert np.abs(q.T @ q - np.eye(frame.cols)).max(initial=0.0) <= 1e-14
-    # B has full column rank (test_invariant_basis_is_rotation_invariant) and
-    # as many columns as Q, so B inside span(Q) means the same span
-    b = invariant_basis(alg, GradeSlice(inputs, output)).reshape(frame.size, -1)
+    # the integer reference basis B has full column rank
+    # (test_invariant_basis_is_rotation_invariant) and as many columns as Q,
+    # so B inside span(Q) means the same span
+    b = loop_invariant_basis(alg, GradeSlice(inputs, output)).reshape(frame.size, -1)
     assert b.shape[1] == frame.cols
     assert np.abs(b - q @ (q.T @ b)).max(initial=0.0) <= 1e-12
     # column order kept: Q is B's Gram-Schmidt, so Q^T B is upper
@@ -721,12 +732,23 @@ def test_arity3_frames_are_orthonormal_bases(name, inputs, output):
 
 @pytest.mark.parametrize("group", ["e3", "se3"])
 @pytest.mark.parametrize("name, inputs, output", ARITY3_FRAMES)
-def test_null_solve_on_frame_entries_matches_the_integer_basis(name, inputs, output, group):
-    # the span flow solves each slice on its frame's entries
+def test_null_solve_on_frame_entries_matches_the_integer_basis(
+    name, inputs, output, group, monkeypatch
+):
+    # every solve runs on the frame's orthonormal entries; the same solve on
+    # the integer reference basis's entries gives the same dimension
     alg = get_algebra(name)
-    frame = _Frame.build(alg, output, inputs)
-    got = solve_multilinear_dim(alg, group, frame.as_slice())
-    assert got == solve_multilinear_dim(alg, group, GradeSlice(inputs, output))
+    gs = GradeSlice(inputs, output)
+    got = solve_multilinear_dim(alg, group, gs)
+
+    def integer_entries(alg, grades):
+        b = loop_invariant_basis(alg, GradeSlice(grades[1:], grades[0]))
+        b = b.reshape(-1, b.shape[-1])
+        col, flat = np.nonzero(b.T)
+        return flat, col, b[flat, col], b.shape[1]
+
+    monkeypatch.setattr(solver, "_invariant_entries", integer_entries)
+    assert solve_multilinear_dim(alg, group, gs) == got
 
 
 @pytest.mark.parametrize(
@@ -790,7 +812,10 @@ def test_non_equivariant_linear_block_fails_the_span_loudly(pga, rng):
 def test_cached_blocks_and_frames_are_read_only(pga):
     blocks, maps = _linear_blocks(pga, "se3")
     frame = _sorted_frame(pga, 2, (1, 2))
-    for a in (blocks[(1, 1)], maps, frame.flat, frame.col, frame.val, frame.starts):
+    entries = _invariant_entries(pga, (2, 1, 2))
+    # the frame holds the cached entries themselves, not a copy
+    assert (frame.flat, frame.col, frame.val) == entries[:3]
+    for a in (blocks[(1, 1)], maps, frame.starts, *entries[:3]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     with pytest.raises(TypeError):
@@ -814,7 +839,7 @@ def test_fresh_builder_sees_the_true_block_after_poisoning(pga, rng):
 
 
 def clear_span_caches():
-    for cache in (_linear_blocks, _sorted_frame, _slice_null_dim):
+    for cache in (_invariant_entries, _linear_blocks, _sorted_frame, _slice_null_dim):
         cache.cache_clear()
 
 
@@ -826,6 +851,20 @@ def test_span_cases_share_the_cached_solves():
     nulls, blocks = _slice_null_dim.cache_info(), _linear_blocks.cache_info()
     assert (nulls.misses, nulls.hits) == (241, 75)
     assert (blocks.misses, blocks.hits) == (3, 1)
+
+
+@pytest.mark.parametrize("group, dim", [("e3", 16), ("se3", 30)])
+def test_standalone_solve_does_not_depend_on_cache_state(cga, group, dim):
+    # a slices-l3 benchmark slice: the cold solve builds the slice's entries,
+    # the warm one reads them from the cache.  e3 as in null_dims_e3.json,
+    # se3 as the dense solve in perfbench/reference_slices.json
+    gs = GradeSlice((1, 2, 2), 2)
+    clear_span_caches()
+    cold = solve_multilinear_dim(cga, group, gs)
+    warm = solve_multilinear_dim(cga, group, gs)
+    info = _invariant_entries.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold == warm == dim
 
 
 def test_join_case_does_not_depend_on_cache_state():
