@@ -192,14 +192,9 @@ def cmd_solve_basis(args):
 
 
 def cmd_verify_conjecture(args):
-    try:
-        reports = verify_conjecture(
-            l_max=args.l_max, long=args.long, include_heavy=args.include_heavy
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    reports = verify_conjecture(
+        l_max=args.l_max, long=args.long, include_heavy=args.include_heavy
+    )
     header = f"{'algebra':<8} {'l':>2} {'join':<5} {'span':>6} {'null':>6} {'expect':<6} verdict"
     lines = [header, "-" * len(header)]
     for r in reports:
@@ -229,9 +224,10 @@ def cmd_verify_conjecture(args):
 
 
 def _sample_motion(variant, rng):
-    # the join-using variant is covariant for rototranslations only, so its
-    # samples are restricted to even reflection counts
-    if variant == "iP":
+    # variants of the orientation-preserving group are covariant for
+    # rototranslations only, so their samples are restricted to even
+    # reflection counts
+    if VARIANTS[variant]["group"] == "se3":
         return random_motion(rng, 2 * int(rng.integers(1, 3)))
     return random_motion(rng, int(rng.integers(1, 5)))
 

@@ -49,6 +49,8 @@ class MvChannels:
             raise ValueError(
                 f"multivector channels must be (tokens, channels, {self.algebra.size})"
             )
+        if self.mv.shape[0] < 1:
+            raise ValueError(f"need at least one token, got {self.mv.shape[0]}")
         if scalars is None:
             scalars = np.zeros((self.mv.shape[0], 0))
         self.scalars = np.asarray(scalars, dtype=float)

@@ -41,12 +41,11 @@ frames Q; linear_constraint_spectrum keeps the dense stacks.  Slices whose
 flattened map exceeds DEFAULT_ENTRY_CAP raise SliceTooLargeError.
 
 What depends only on the algebra, the group and the slice is built once
-per process and shared, read-only: each slice's basis entries
-(_invariant_entries), the linear blocks (_linear_blocks), the frame of each
-sorted slice (_sorted_frame) and its null dimension (_slice_null_dim).  A
-check with more products, the projective algebra with the join, reuses
-those of the check without.  Standalone solve_multilinear_dim calls keep
-their slice's entries, not their dimension.
+per process and shared, read-only: each slice's frame Q (_slice_frame),
+the linear blocks (_linear_blocks) and each sorted slice's null dimension
+(_slice_null_dim).  A check with more products, the projective algebra
+with the join, reuses those of the check without.  Standalone
+solve_multilinear_dim calls keep their slice's frame, not their dimension.
 """
 
 import functools
@@ -281,7 +280,7 @@ def _linear_blocks(alg, group):
     solved once per process; every array is read-only.
 
     Each (output, input) grade block is solved as the arity-1 slice it is,
-    on an orthonormal frame Q of its SO(3)-invariant subspace (_Frame):
+    on the orthonormal frame Q of its SO(3)-invariant subspace (_slice_frame):
     _reduced_stacks applies the T_z rows to Q's entries, one SVD per
     mirror-parity block of Q's columns, and the kernel coordinates y map
     back to the maps Q y, orthonormal because Q is an isometry.  The rank
@@ -292,8 +291,8 @@ def _linear_blocks(alg, group):
     solved, spectra = [], [np.zeros(0)]
     for go in range(alg.n + 1):
         for gi in range(alg.n + 1):
-            frame = _sorted_frame(alg, go, (gi,))
-            for cols, stack in _reduced_stacks(alg, group, GradeSlice((gi,), go)):
+            frame = _slice_frame(alg, go, (gi,))
+            for cols, stack in _reduced_stacks(alg, group, frame):
                 # all of vt: the kernel can be wider than the stack is tall
                 _, s, vt = np.linalg.svd(stack)
                 solved.append((go, gi, frame, cols, s, vt))
@@ -648,79 +647,27 @@ def _blade_tables(alg):
     return tables
 
 
-@functools.lru_cache(maxsize=None)
-def _invariant_entries(alg, grades):
-    """(flat, col, val, cols): the nonzero entries of an orthonormal basis Q
-    of the SO(3)-invariant tensors on the grade blocks (output grade first),
-    at row-major flat indices, and its column count.  Every choice of one
-    rotation piece per axis and one orthonormal invariant tensor
-    (_invariant_nonzeros) on its spin-1 axes is a column, the invariant
-    contracted with the pieces; every piece column is one signed blade, so
-    each nonzero of the invariant is one entry of the column.  Rotation
-    blocks are antisymmetric, so the input axes transform like the output
-    axis.  The columns are in order, one block per choice of piece widths,
-    tensor-major within it.  Columns with different piece choices share no
-    entry, and those with the same one have the Gram matrix of their
-    tensors, the identity: Q is the Gram-Schmidt of the integer basis B that
-    the integer tensors would give, Q = B L^-T, column for column.
-
-    Built once per process and read-only: every solve of the slice, and the
-    frame of a sorted slice (_Frame), read the same arrays."""
-    tables = [_blade_tables(alg)[g] for g in grades]
-    dims = [len(alg.grade_indices(g)) for g in grades]
-    strides = np.cumprod([1] + dims[:0:-1])[::-1]
-    # (flat index, column, value) arrays, from no entry on
-    parts, cols = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))], 0
-    for widths in itertools.product(*tables):
-        for axes, values in _invariant_nonzeros(widths.count(3)):
-            n, spin1 = values.size, iter(axes)
-            # (columns so far, n), one axis at a time
-            f, v = np.zeros((1, n), dtype=int), values[None]
-            for j, w in enumerate(widths):
-                blade, sign = tables[j][w]
-                i = next(spin1) if w == 3 else [0]
-                f = (f[:, None] + strides[j] * blade[:, i]).reshape(-1, n)
-                v = (v[:, None] * sign[:, i]).reshape(-1, n)
-            parts.append((f.ravel(), np.repeat(cols + np.arange(len(f)), n), v.ravel()))
-            cols += len(f)
-    flat, col, val = map(np.concatenate, zip(*parts))
-    for a in (flat, col, val):
-        a.flags.writeable = False
-    return flat, col, val, cols
-
-
 class _Frame:
     """Orthonormal frame Q of one grade slice's SO(3)-invariant subspace.
 
-    Q is the slice's invariant basis, the entries of _invariant_entries, the
-    same arrays its null solve runs on.  Q is held as its nonzero entries
-    sorted by column, never as a dense (entries x columns) array: rows @ Q
-    is a gather and a per-column sum, and coordinates @ Q^T a scatter.
-    perm[j] is the sorted slice's input axis behind input axis j of this
-    frame's slice: frames of unsorted sequences permute the sorted slice's
-    entry indices.
+    Q is the slice's one invariant basis (_slice_frame): its null solve,
+    its linear block and its span all run on the same arrays.  Q is held as
+    its nonzero entries (flat index, column, value) sorted by column, with
+    starts, the first entry of each column, never as a dense (entries x
+    columns) array: rows @ Q is a gather and a per-column sum, and
+    coordinates @ Q^T a scatter.  perm[j] is the built slice's input axis
+    behind input axis j of this frame's slice: the span builder's frames of
+    unsorted sequences permute the sorted slice's entry indices.
     """
 
-    def __init__(self, name, grades, dims, perm, flat, col, val, cols, starts=None):
+    def __init__(self, name, grades, dims, perm, flat, col, val, cols, starts):
         self.name, self.grades, self.dims, self.perm = name, grades, dims, perm
         self.flat, self.col, self.val, self.cols = flat, col, val, cols
         self.size = math.prod(dims)
-        if starts is None:  # the first entry of each column; every column has one
-            starts = np.flatnonzero(np.diff(col, prepend=-1))
-            starts.flags.writeable = False
         self.starts = starts
 
-    @classmethod
-    def build(cls, alg, output, inputs):
-        """The frame of the slice inputs -> output."""
-        grades = (output,) + tuple(inputs)
-        entries = _invariant_entries(alg, grades)
-        dims = tuple(len(alg.grade_indices(g)) for g in grades)
-        perm = tuple(range(len(inputs)))
-        return cls(alg.name, grades, dims, perm, *entries)
-
     def permuted(self, perm):
-        """The frame of this sorted slice with input axis j taken from its
+        """The frame of this built slice with input axis j taken from its
         input axis perm[j]."""
         perm = tuple(perm)
         if perm == self.perm:
@@ -764,11 +711,49 @@ class _Frame:
 
 
 @functools.lru_cache(maxsize=None)
-def _sorted_frame(alg, output, inputs):
-    """The frame of the sorted slice inputs -> output, built once per
-    process: the linear blocks, the span builder and the slice's null solve
-    share it."""
-    return _Frame.build(alg, output, inputs)
+def _slice_frame(alg, output, inputs):
+    """The frame of the slice inputs -> output, in any input order, built
+    once per process and read-only: every solve of the slice, the linear
+    blocks and the span builder share it.
+
+    Its entries are the nonzeros of an orthonormal basis Q of the
+    SO(3)-invariant tensors on the grade blocks (output grade first), at
+    row-major flat indices.  Every choice of one rotation piece per axis and
+    one orthonormal invariant tensor (_invariant_nonzeros) on its spin-1
+    axes is a column, the invariant contracted with the pieces; every piece
+    column is one signed blade, so each nonzero of the invariant is one
+    entry of the column.  Rotation blocks are antisymmetric, so the input
+    axes transform like the output axis.  The columns are in order, one
+    block per choice of piece widths, tensor-major within it.  Columns with
+    different piece choices share no entry, and those with the same one
+    have the Gram matrix of their tensors, the identity: Q is the
+    Gram-Schmidt of the integer basis B that the integer tensors would
+    give, Q = B L^-T, column for column."""
+    grades = (output,) + inputs
+    tables = [_blade_tables(alg)[g] for g in grades]
+    dims = tuple(len(alg.grade_indices(g)) for g in grades)
+    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
+    # (flat index, column, value) arrays, from no entry on
+    parts, cols = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))], 0
+    for widths in itertools.product(*tables):
+        for axes, values in _invariant_nonzeros(widths.count(3)):
+            n, spin1 = values.size, iter(axes)
+            # (columns so far, n), one axis at a time
+            f, v = np.zeros((1, n), dtype=int), values[None]
+            for j, w in enumerate(widths):
+                blade, sign = tables[j][w]
+                i = next(spin1) if w == 3 else [0]
+                f = (f[:, None] + strides[j] * blade[:, i]).reshape(-1, n)
+                v = (v[:, None] * sign[:, i]).reshape(-1, n)
+            parts.append((f.ravel(), np.repeat(cols + np.arange(len(f)), n), v.ravel()))
+            cols += len(f)
+    flat, col, val = map(np.concatenate, zip(*parts))
+    # the first entry of each column; every column has one
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    for a in (flat, col, val, starts):
+        a.flags.writeable = False
+    perm = tuple(range(len(inputs)))
+    return _Frame(alg.name, grades, dims, perm, flat, col, val, cols, starts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -781,53 +766,52 @@ def _mirror_flips(alg):
     return [np.diag(r)[alg.grade_indices(g)] < 0 for g in range(alg.n + 1)]
 
 
-def _mirror_even(alg, gs, index, col, cols):
-    """Mask of the invariant columns, given by their entries as
-    _invariant_entries lists them (index: the entries' per-axis indices,
-    output axis first), that the mirror leaves unchanged.  The mirror
-    multiplies each map entry by the product of its index signs: a column
-    is even when none of its entries flips, odd when all of them do, and
-    raises when it is neither."""
+def _mirror_even(alg, grades, index, col, cols):
+    """Mask of the invariant columns of the slice on grades (output grade
+    first), given by their entries as a _Frame lists them (index: the
+    entries' per-axis indices, col: their columns), that the mirror leaves
+    unchanged.  The mirror multiplies each map entry by the product of its
+    index signs: a column is even when none of its entries flips, odd when
+    all of them do, and raises when it is neither."""
     flips = _mirror_flips(alg)
-    grades = (gs.output_grade,) + gs.input_grades
     flip = functools.reduce(np.logical_xor, [flips[g][i] for g, i in zip(grades, index)])
     even = np.bincount(col, flip, minlength=cols) == 0
     odd = np.bincount(col, ~flip, minlength=cols) == 0
     if not (even | odd).all():
         raise AssertionError(
-            f"{alg.name} slice {gs.input_grades}->{gs.output_grade}: an "
+            f"{alg.name} slice {grades[1:]}->{grades[0]}: an "
             "invariant column is neither even nor odd under the mirror"
         )
     return even
 
 
-def _reduced_stacks(alg, group, gs):
+def _reduced_stacks(alg, group, frame):
     """Yield (column mask, T_z rows on those invariant columns), one stack
-    per mirror-parity block of the columns: even, then odd; e3 keeps the even
-    block only, since (M - I) Q x = Q (D - I) x with D = +-1 per column and
-    Q of full column rank.  The columns are the entries of the slice's
-    _invariant_entries.  The mirror commutes with T_z and is a diagonal of
-    signs, so T_z moves an entry only to an index of the same sign: even
-    columns reach mirror-even rows only, odd columns odd rows, and the full
-    stack is block diagonal over the two.  Each basis entry is moved along each
-    axis through T_z's grade block, by T[o, b] on the output axis and by
-    -T[b, o] on an input axis; each stack keeps the rows that some entry of
-    its block reaches, so its size follows the constraints, not the
-    basis."""
-    grades = (gs.output_grade,) + gs.input_grades
-    flat, col, val, cols = _invariant_entries(alg, grades)
+    per mirror-parity block of the columns of a slice's frame: even, then
+    odd; e3 keeps the even block only, since (M - I) Q x = Q (D - I) x with
+    D = +-1 per column and Q of full column rank.  The columns are the
+    frame's entries; their parity is read from them on each call, not kept
+    in the frame, since ega's se3 solve never needs it.  The mirror commutes
+    with T_z and is a diagonal of signs, so T_z moves an entry only to an
+    index of the same sign: even columns reach mirror-even rows only, odd
+    columns odd rows, and the full stack is block diagonal over the two.
+    Each basis entry is moved along each axis through T_z's grade block, by
+    T[o, b] on the output axis and by -T[b, o] on an input axis; each stack
+    keeps the rows that some entry of its block reaches, so its size
+    follows the constraints, not the basis."""
+    grades, dims = frame.grades, frame.dims
+    flat, col, val, cols = frame.flat, frame.col, frame.val, frame.cols
     tz = _tz_blocks(alg)
     if group == "se3" and tz is None:  # ega: nothing constrains the columns
         yield np.ones(cols, dtype=bool), np.zeros((0, cols))
         return
-    dims = [len(alg.grade_indices(g)) for g in grades]
     index = np.unravel_index(flat, dims)
-    even = _mirror_even(alg, gs, index, col, cols)
+    even = _mirror_even(alg, grades, index, col, cols)
     parities = [even] if group == "e3" else [even, ~even]
     if tz is None:  # ega, e3
         yield even, np.zeros((0, np.count_nonzero(even)))
         return
-    strides = np.cumprod([1] + dims[:0:-1])[::-1]
+    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
     parts = []
     for j, (g, i) in enumerate(zip(grades, index)):
         # the entry at index b moves to o with weight move[o, b]
@@ -869,8 +853,8 @@ def solve_multilinear_dim(algebra, group, grade_slice, *, method=None):
 
     By default the slice is solved in reduced coordinates: the z
     translation constraints on the orthonormal basis Q of the slice's
-    rotation-invariant subspace (_invariant_entries, the basis its span
-    frame uses too), one singular value decomposition per mirror-parity
+    rotation-invariant subspace (_slice_frame, the frame its span is
+    reduced in too), one singular value decomposition per mirror-parity
     block of its columns, for e3 on the even block only (no column: 0; no
     constraint row: the column count).  The constraint rows are built from
     the basis's nonzero entries and only the rows they reach are kept, so
@@ -893,7 +877,8 @@ def solve_multilinear_dim(algebra, group, grade_slice, *, method=None):
             f"slice too large: {vec} map entries exceeds the cap {DEFAULT_ENTRY_CAP}"
         )
     if method is None:
-        return _nullspace_dim(_reduced_stacks(alg, group, grade_slice))
+        frame = _slice_frame(alg, grade_slice.output_grade, grade_slice.input_grades)
+        return _nullspace_dim(_reduced_stacks(alg, group, frame))
     if method == "dense":
         return _nullspace_dim([(None, _slice_stack(alg, group, grade_slice))])
     raise ValueError(f"unknown method {method!r}")
@@ -952,7 +937,7 @@ class _SpanBuilder:
     arrays with orthonormal flattened rows; full-length sequences stay in
     frame coordinates, where the union over input permutations is taken.
     The linear blocks and the frames of sorted slices come from the
-    per-process caches (_linear_blocks, _sorted_frame); the builder holds
+    per-process caches (_linear_blocks, _slice_frame); the builder holds
     its own dict of the blocks, which it may change without touching the
     cached one.
     """
@@ -987,7 +972,7 @@ class _SpanBuilder:
         """The frame of the slice seq -> go, from its sorted slice's frame
         with the input axes permuted by perm (default: seq's sorting
         permutation)."""
-        base = _sorted_frame(self.alg, go, tuple(sorted(seq)))
+        base = _slice_frame(self.alg, go, tuple(sorted(seq)))
         return base.permuted(_sorting_perm(seq) if perm is None else perm)
 
     def _reduce(self, rows):

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from gaeq.cli import main
+from gaeq.cli import _sample_motion, main
+from gaeq.transformer import VARIANTS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -153,9 +154,21 @@ class TestVerifyConjecture:
     def test_bad_arity_refused(self, capsys):
         rc = main(["verify-conjecture", "--l-max", "7"])
         assert rc == 2
+        assert capsys.readouterr().err == "gaeq: l_max 7 outside 2..4\n"
 
 
 class TestCheckEquivariance:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_sampled_motions_stay_in_the_variant_group(self, variant):
+        # an se3 variant is only covariant for rototranslations: an even
+        # number of planes; the others draw mirrors too
+        rng = np.random.default_rng(0)
+        counts = {len(_sample_motion(variant, rng).planes) for _ in range(50)}
+        if VARIANTS[variant]["group"] == "se3":
+            assert counts and all(c % 2 == 0 for c in counts)
+        else:
+            assert any(c % 2 for c in counts)
+
     @pytest.mark.parametrize("variant", ["E", "P", "iP", "C"])
     def test_default_model_passes(self, variant, capsys):
         rc = main(

@@ -75,6 +75,13 @@ class TestMvChannels:
         with pytest.raises(ValueError):
             MvChannels(ega, np.zeros((4, 2, ega.size)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("name", ["ega", "pga", "cga"])
+    def test_rejects_zero_tokens(self, name):
+        # the layers would otherwise fail inside numpy's reshape
+        alg = get_algebra(name)
+        with pytest.raises(ValueError, match="need at least one token, got 0"):
+            MvChannels(alg, np.zeros((0, 2, alg.size)))
+
     def test_rejects_non_finite(self, ega):
         bad = np.zeros((2, 1, ega.size))
         bad[0, 0, 0] = np.nan

@@ -28,14 +28,13 @@ from gaeq.solver import (
     GradeSlice,
     _Frame,
     _SpanBuilder,
-    _invariant_entries,
     _linear_blocks,
     _linear_slice_svds,
     _mirror_even,
     _reduced_stacks,
+    _slice_frame,
     _slice_null_dim,
     _so3_invariants,
-    _sorted_frame,
     _spot_check_generic_generator,
     _spin_pieces,
     _spot_check_residual,
@@ -369,7 +368,9 @@ def character_count(alg, gs):
 
 
 def invariant_entries(alg, gs):
-    return _invariant_entries(alg, (gs.output_grade,) + gs.input_grades)
+    """(flat, col, val, cols) of the slice's frame."""
+    frame = _slice_frame(alg, gs.output_grade, gs.input_grades)
+    return frame.flat, frame.col, frame.val, frame.cols
 
 
 def invariant_basis(alg, gs):
@@ -389,7 +390,8 @@ def entry_index(alg, gs, flat):
 
 def mirror_even(alg, gs):
     flat, col, _, cols = invariant_entries(alg, gs)
-    return _mirror_even(alg, gs, entry_index(alg, gs, flat), col, cols)
+    grades = (gs.output_grade,) + gs.input_grades
+    return _mirror_even(alg, grades, entry_index(alg, gs, flat), col, cols)
 
 
 def apply_axis(t, m, axis):
@@ -445,11 +447,11 @@ def test_invariant_basis_is_rotation_invariant(name, inputs, output, cols):
 
 
 def loop_invariant_basis(alg, gs):
-    """Integer reference form of _invariant_entries, as a dense
+    """Integer reference form of a slice's frame (_slice_frame), as a dense
     (n_out, *in_dims, cols) tensor: the integer invariant tensors
     (_so3_invariants), one tensordot per piece, per choice of one piece per
-    axis, in _invariant_entries's column order (piece widths, then tensor,
-    then pieces)."""
+    axis, in the frame's column order (piece widths, then tensor, then
+    pieces)."""
     grades = (gs.output_grade,) + gs.input_grades
     dims = tuple(len(alg.grade_indices(g)) for g in grades)
     stacks = [_spin_pieces(alg)[g] for g in grades]
@@ -539,11 +541,11 @@ def test_mixed_parity_column_raises(pga):
     gs = GradeSlice((0, 2), 2)  # two even and two odd invariant columns
     flat, col, _, cols = invariant_entries(pga, gs)
     index = entry_index(pga, gs, flat)
-    even = _mirror_even(pga, gs, index, col, cols)
+    even = _mirror_even(pga, (2, 0, 2), index, col, cols)
     assert even.tolist() == [True, False, False, True]
     # columns 0 + 2 and 1 + 3, each an even column plus an odd one
     with pytest.raises(AssertionError, match=r"pga slice \(0, 2\)->2: .* neither"):
-        _mirror_even(pga, gs, index, col % 2, 2)
+        _mirror_even(pga, (2, 0, 2), index, col % 2, 2)
 
 
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
@@ -627,7 +629,8 @@ def assert_reduced_gram_matches_kronecker_rows(alg, group, gs):
         ]
         rows = constraint_rows(out, ins) @ basis
         want = rows.T @ rows
-    masks, stacks = zip(*_reduced_stacks(alg, group, gs))
+    frame = _slice_frame(alg, gs.output_grade, gs.input_grades)
+    masks, stacks = zip(*_reduced_stacks(alg, group, frame))
     if alg.name == "ega" and group == "se3":
         # no T_z and no mirror: one empty stack over every column, parity
         # never computed
@@ -701,7 +704,7 @@ ARITY3_FRAMES = [
 
 
 def assert_frame_spans_invariant_basis(alg, inputs, output):
-    frame = _Frame.build(alg, output, inputs)
+    frame = _slice_frame(alg, output, inputs)
     q = dense_frame(frame)
     assert np.abs(q.T @ q - np.eye(frame.cols)).max(initial=0.0) <= 1e-14
     # the integer reference basis B has full column rank
@@ -741,13 +744,18 @@ def test_null_solve_on_frame_entries_matches_the_integer_basis(
     gs = GradeSlice(inputs, output)
     got = solve_multilinear_dim(alg, group, gs)
 
-    def integer_entries(alg, grades):
-        b = loop_invariant_basis(alg, GradeSlice(grades[1:], grades[0]))
-        b = b.reshape(-1, b.shape[-1])
+    def integer_frame(alg, output, inputs):
+        grades = (output,) + inputs
+        b = loop_invariant_basis(alg, GradeSlice(inputs, output))
+        dims, cols = b.shape[:-1], b.shape[-1]
+        b = b.reshape(-1, cols)
         col, flat = np.nonzero(b.T)
-        return flat, col, b[flat, col], b.shape[1]
+        starts = np.flatnonzero(np.diff(col, prepend=-1))
+        perm = tuple(range(len(inputs)))
+        entries = flat, col, b[flat, col], cols, starts
+        return _Frame(alg.name, grades, dims, perm, *entries)
 
-    monkeypatch.setattr(solver, "_invariant_entries", integer_entries)
+    monkeypatch.setattr(solver, "_slice_frame", integer_frame)
     assert solve_multilinear_dim(alg, group, gs) == got
 
 
@@ -759,10 +767,10 @@ def test_permuted_frame_has_the_projector_of_a_direct_frame(name, inputs, output
     # equal projectors: the direct frame's coordinates of the permuted frame
     # form an orthogonal matrix
     alg = get_algebra(name)
-    base = _Frame.build(alg, output, inputs)
+    base = _slice_frame(alg, output, inputs)
     for perm in itertools.permutations(range(len(inputs))):
         got = dense_frame(base.permuted(perm))
-        want = dense_frame(_Frame.build(alg, output, tuple(inputs[p] for p in perm)))
+        want = dense_frame(_slice_frame(alg, output, tuple(inputs[p] for p in perm)))
         assert got.shape == want.shape
         m = want.T @ got
         assert np.abs(m @ m.T - np.eye(len(m))).max(initial=0.0) <= 1e-12
@@ -791,7 +799,7 @@ def test_arity2_span_rows_lie_in_their_frames(name, with_join, monkeypatch):
 
 
 def test_projection_guard_names_the_slice(cga, rng):
-    frame = _Frame.build(cga, 2, (2, 2))
+    frame = _slice_frame(cga, 2, (2, 2))
     rows = frame.lift(rng.normal(size=(3, frame.cols)))
     assert np.allclose(frame.project(rows) @ dense_frame(frame).T, rows, atol=1e-12)
     bad = rows.copy()
@@ -811,11 +819,10 @@ def test_non_equivariant_linear_block_fails_the_span_loudly(pga, rng):
 
 def test_cached_blocks_and_frames_are_read_only(pga):
     blocks, maps = _linear_blocks(pga, "se3")
-    frame = _sorted_frame(pga, 2, (1, 2))
-    entries = _invariant_entries(pga, (2, 1, 2))
-    # the frame holds the cached entries themselves, not a copy
-    assert (frame.flat, frame.col, frame.val) == entries[:3]
-    for a in (blocks[(1, 1)], maps, frame.starts, *entries[:3]):
+    frame = _slice_frame(pga, 2, (1, 2))
+    # every caller gets the cached frame itself, not a copy
+    assert _slice_frame(pga, 2, (1, 2)) is frame
+    for a in (blocks[(1, 1)], maps, frame.flat, frame.col, frame.val, frame.starts):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     with pytest.raises(TypeError):
@@ -839,30 +846,38 @@ def test_fresh_builder_sees_the_true_block_after_poisoning(pga, rng):
 
 
 def clear_span_caches():
-    for cache in (_invariant_entries, _linear_blocks, _sorted_frame, _slice_null_dim):
+    # every per-process cache of the solver, so that a cache added later is
+    # cleared too and the cold-cache tests below stay cold
+    caches = {name: f for name, f in vars(solver).items() if hasattr(f, "cache_clear")}
+    assert {"_slice_frame", "_slice_null_dim", "_linear_blocks"} <= caches.keys()
+    for cache in caches.values():
         cache.cache_clear()
 
 
 def test_span_cases_share_the_cached_solves():
     # every sorted arity-2 slice is solved once: 40 ega, 126 cga and 75 pga
-    # null dimensions, the 75 pga ones reused by pga with the join
+    # null dimensions, the 75 pga ones reused by pga with the join.  Every
+    # frame is built once: the 241 sorted arity-2 slices and the 77 arity-1
+    # blocks, each read again by the span builder and the null solves
     clear_span_caches()
     verify_conjecture(l_max=2)
     nulls, blocks = _slice_null_dim.cache_info(), _linear_blocks.cache_info()
+    frames = _slice_frame.cache_info()
     assert (nulls.misses, nulls.hits) == (241, 75)
     assert (blocks.misses, blocks.hits) == (3, 1)
+    assert (frames.misses, frames.hits) == (318, 592)
 
 
 @pytest.mark.parametrize("group, dim", [("e3", 16), ("se3", 30)])
 def test_standalone_solve_does_not_depend_on_cache_state(cga, group, dim):
-    # a slices-l3 benchmark slice: the cold solve builds the slice's entries,
-    # the warm one reads them from the cache.  e3 as in null_dims_e3.json,
+    # a slices-l3 benchmark slice: the cold solve builds the slice's frame,
+    # the warm one reads it from the cache.  e3 as in null_dims_e3.json,
     # se3 as the dense solve in perfbench/reference_slices.json
     gs = GradeSlice((1, 2, 2), 2)
     clear_span_caches()
     cold = solve_multilinear_dim(cga, group, gs)
     warm = solve_multilinear_dim(cga, group, gs)
-    info = _invariant_entries.cache_info()
+    info = _slice_frame.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert cold == warm == dim
 
