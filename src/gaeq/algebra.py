@@ -6,6 +6,13 @@ means generator i is part of the blade, and generators inside a blade are
 kept in ascending position order.  All operations broadcast over leading
 axes, so arrays of shape (tokens, channels, 2**d) work everywhere.
 
+The product of two basis blades is a signed blade, e_a e_b = sign[a, b]
+e_(a ^ b): the parity of sorting the generators of a then b into ascending
+order, times the squares of the generators a and b share.  The wedge keeps
+the pairs sharing no generator.  The join is the wedge taken through right
+complements, join(x, y) = rc^-1(rc(x) wedge rc(y)), where
+rc(e_a) = sign e_(~a) with e_a wedge rc(e_a) the pseudoscalar.
+
 Supported algebras and their generator orders:
 
 =========  =======================  ==============================
@@ -58,25 +65,25 @@ class ExpConvergenceError(ArithmeticError):
     """Raised when the exponential series fails to converge."""
 
 
-def _reorder_sign(a, b):
-    """Sign from sorting the concatenation of two ascending blades.
-
-    Counts, for every generator in a, the generators in b it has to move
-    past.  Metric factors are handled separately.
-    """
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1.0 if swaps & 1 else 1.0
+def _structure_tensor(sign, mask):
+    """Dense tensor of a blade product rule e_a * e_b = sign[a, b] e_mask[a, b]:
+    T[a, b, mask[a, b]] = sign[a, b], zero elsewhere, so that
+    z_k = sum_ab T[a, b, k] x_a y_b."""
+    n = len(sign)
+    idx = np.arange(n)
+    t = np.zeros((n, n, n))
+    t[idx[:, None], idx[None, :], mask] = sign
+    return t
 
 
 class Algebra:
-    """Precomputed multiplication structure for one Clifford algebra.
+    """Blade tables of one Clifford algebra, all read off one reorder parity.
 
-    Use :func:`get_algebra` rather than constructing directly; instances
-    are immutable in practice and shared.
+    e_a e_b = gp_sign[a, b] e_(a ^ b); wedge_tensor keeps the pairs sharing
+    no generator.  In a degenerate algebra join(e_a, e_b) =
+    join_sign[a, b] e_(a & b), nonzero where a and b together cover every
+    generator.  Use :func:`get_algebra` rather than constructing directly;
+    instances are shared, so every array they hold is read-only.
     """
 
     def __init__(self, name, squares, labels):
@@ -86,38 +93,34 @@ class Algebra:
         self.n = len(squares)
         self.size = 1 << self.n
         masks = np.arange(self.size)
-        self.grades = np.array([int(m).bit_count() for m in masks])
+        full = self.size - 1
+        bits = masks[:, None] >> np.arange(self.n) & 1  # bits[a, i]: generator i in blade a
+        self.grades = bits.sum(axis=1)
         self.max_grade = self.n
         self.degenerate = any(s == 0 for s in squares)
 
-        sign = np.zeros((self.size, self.size))
-        for a in range(self.size):
-            for b in range(self.size):
-                s = _reorder_sign(a, b)
-                shared = a & b
-                for i in range(self.n):
-                    if shared >> i & 1:
-                        s *= squares[i]
-                sign[a, b] = s
-        self.gp_sign = sign
-        self.gp_mask = masks[:, None] ^ masks[None, :]
+        # parity[a, b] = (-1)^#{(i in a, j in b) : i > j}, the sign of sorting
+        # the generators of e_a e_b into ascending order
+        later = np.tril(np.ones((self.n, self.n), dtype=int), -1)  # later[i, j] = i > j
+        swaps = bits @ later @ bits.T
+        parity = np.where(swaps % 2 == 0, 1.0, -1.0)
 
-        # dense structure tensor: z_k = sum_ab T[a,b,k] x_a y_b
-        t = np.zeros((self.size, self.size, self.size))
-        t[masks[:, None], masks[None, :], self.gp_mask] = sign
-        self.gp_tensor = t
+        # each generator shared by a and b contracts to its square
+        shared = bits[:, None, :] & bits[None, :, :]
+        metric = np.where(shared == 1, np.array(squares, dtype=float), 1.0).prod(axis=-1)
+        self.gp_sign = parity * metric
+        self.gp_mask = masks[:, None] ^ masks[None, :]
+        self.gp_tensor = _structure_tensor(self.gp_sign, self.gp_mask)
 
         disjoint = (masks[:, None] & masks[None, :]) == 0
-        tw = np.zeros_like(t)
-        tw[masks[:, None], masks[None, :], self.gp_mask] = np.where(disjoint, sign, 0.0)
-        self.wedge_tensor = tw
+        self.wedge_tensor = _structure_tensor(np.where(disjoint, parity, 0.0), self.gp_mask)
 
         k = self.grades
         self.reverse_signs = np.where(k * (k - 1) // 2 % 2 == 0, 1.0, -1.0)
         self.involute_signs = np.where(k % 2 == 0, 1.0, -1.0)
         # <x, y> = sum_a x_a y_a inner_weights[a]; zero weight on blades
         # containing a degenerate generator
-        self.inner_weights = self.reverse_signs * sign[masks, masks]
+        self.inner_weights = self.reverse_signs * self.gp_sign[masks, masks]
 
         self._grade_masks = [
             (self.grades == g).astype(float) for g in range(self.n + 1)
@@ -125,54 +128,41 @@ class Algebra:
         self._grade_indices = [
             np.flatnonzero(self.grades == g) for g in range(self.n + 1)
         ]
-        for idx in self._grade_indices:
-            idx.flags.writeable = False
 
         if self.degenerate:
-            self._build_join()
+            comp = full ^ masks
+            # right complement rc(e_a) = rc[a] e_(~a), signed so that
+            # e_a wedge rc(e_a) = parity[a, ~a] e_(a | ~a) is the pseudoscalar
+            rc = parity[masks, comp]
+            # rc(e_a) wedge rc(e_b) = rc[a] rc[b] parity[~a, ~b] e_(~a | ~b)
+            # when ~a and ~b are disjoint (a and b cover every generator), and
+            # ~a | ~b = ~(a & b), which rc^-1 maps to rc[a & b] e_(a & b)
+            covering = (comp[:, None] & comp[None, :]) == 0
+            self.join_mask = masks[:, None] & masks[None, :]
+            wedge_sign = rc[:, None] * rc[None, :] * parity[comp[:, None], comp[None, :]]
+            self.join_sign = np.where(covering, wedge_sign * rc[self.join_mask], 0.0)
+            self.join_tensor = _structure_tensor(self.join_sign, self.join_mask)
+            self.rc_sign = rc
         else:
             self.join_sign = None
             self.join_mask = None
             self.join_tensor = None
 
+        self.infinity = None
+        self.origin = None
         if name == "cga":
             ip, im = self.blade_index("e+"), self.blade_index("e-")
-            inf = np.zeros(self.size)
-            inf[im] = 1.0
-            inf[ip] = -1.0
-            origin = np.zeros(self.size)
-            origin[im] = 0.5
-            origin[ip] = 0.5
-            self.infinity = inf
-            self.origin = origin
-        else:
-            self.infinity = None
-            self.origin = None
+            self.infinity = np.zeros(self.size)
+            self.infinity[[im, ip]] = 1.0, -1.0
+            self.origin = np.zeros(self.size)
+            self.origin[[im, ip]] = 0.5
 
-    def _build_join(self):
-        # Join through complements: rc(e_a) = s_a e_(~a) with the sign fixed
-        # so that e_a wedge rc(e_a) is the positively oriented pseudoscalar.
-        # join(x, y) = rc_inverse(rc(x) wedge rc(y)); this makes the
-        # pseudoscalar the unit of the join: I join 1 = 1.
-        full = self.size - 1
-        rc_sign = np.array([_reorder_sign(a, full ^ a) for a in range(self.size)])
-        self.rc_sign = rc_sign
-        sign = np.zeros((self.size, self.size))
-        mask = np.zeros((self.size, self.size), dtype=int)
-        for a in range(self.size):
-            for b in range(self.size):
-                ac, bc = full ^ a, full ^ b
-                mask[a, b] = a & b
-                if ac & bc:
-                    continue  # a and b together must cover every generator
-                sw = _reorder_sign(ac, bc)
-                sign[a, b] = rc_sign[a] * rc_sign[b] * sw * rc_sign[a & b]
-        self.join_sign = sign
-        self.join_mask = mask
-        t = np.zeros((self.size, self.size, self.size))
-        masks = np.arange(self.size)
-        t[masks[:, None], masks[None, :], mask] = sign
-        self.join_tensor = t
+        # get_algebra shares one instance, so an in-place write into any
+        # table would corrupt every later product
+        for value in vars(self).values():
+            for arr in value if isinstance(value, list) else [value]:
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
 
     # -- blade bookkeeping ------------------------------------------------
 
@@ -184,8 +174,12 @@ class Algebra:
             raise ValueError(f"bad blade name {name!r}")
         mask = 0
         for ch in name[1:]:
-            pos = self.labels.index(ch)
-            bit = 1 << pos
+            if ch not in self.labels:
+                raise ValueError(
+                    f"unknown generator {ch!r} in blade {name!r}; "
+                    f"{self.name} has generators {self.labels}"
+                )
+            bit = 1 << self.labels.index(ch)
             if mask & bit:
                 raise ValueError(f"repeated generator in {name!r}")
             mask |= bit

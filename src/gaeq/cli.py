@@ -72,27 +72,14 @@ def _emit(args, payload, text):
 # -- tables -------------------------------------------------------------------
 
 
-def _signed_blade(alg, vec):
-    nz = np.flatnonzero(vec)
-    if nz.size == 0:
-        return "0"
-    if nz.size != 1 or abs(abs(vec[nz[0]]) - 1.0) > 1e-12:
-        raise AssertionError("basis blade product is not a signed blade")
-    k = int(nz[0])
-    return ("+" if vec[k] > 0 else "-") + alg.blade_name(k)
-
-
-def _product_rows(alg, tensor):
+def _product_rows(alg, sign, mask):
+    """One row per blade pair of the rule e_a * e_b = sign[a, b] e_mask[a, b]."""
     rows = []
     for a in range(alg.size):
         for b in range(alg.size):
-            rows.append(
-                {
-                    "a": alg.blade_name(a),
-                    "b": alg.blade_name(b),
-                    "product": _signed_blade(alg, tensor[a, b]),
-                }
-            )
+            s = sign[a, b]
+            product = "0" if s == 0 else ("+" if s > 0 else "-") + alg.blade_name(mask[a, b])
+            rows.append({"a": alg.blade_name(a), "b": alg.blade_name(b), "product": product})
     return rows
 
 
@@ -102,12 +89,12 @@ def cmd_tables(args):
     os.makedirs(outdir, exist_ok=True)
     for name in names:
         alg = get_algebra(name)
-        rows = _product_rows(alg, alg.gp_tensor)
+        rows = _product_rows(alg, alg.gp_sign, alg.gp_mask)
         path = os.path.join(outdir, f"cayley_{name}.json")
         _write_text(path, json.dumps(rows, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path} ({len(rows)} rows)", file=sys.stderr)
-        if alg.join_tensor is not None:
-            rows = _product_rows(alg, alg.join_tensor)
+        if alg.join_sign is not None:
+            rows = _product_rows(alg, alg.join_sign, alg.join_mask)
             path = os.path.join(outdir, f"join_{name}.json")
             _write_text(path, json.dumps(rows, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path} ({len(rows)} rows)", file=sys.stderr)

@@ -182,24 +182,32 @@ def load_points(path):
     import json
     import os
 
-    if os.path.splitext(path)[1].lower() == ".json":
+    is_json = os.path.splitext(path)[1].lower() == ".json"
+    if is_json:
         with open(path) as fh:
-            rows = json.load(fh)
+            data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError(f"{path}: expected a JSON array of point rows")
+        numbered = [(n, row if isinstance(row, list) else [row]) for n, row in enumerate(data, 1)]
     else:
-        rows = []
         with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh)):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    if lineno == 0:
-                        continue
-                    raise ValueError(f"{path}: bad row {lineno + 1}: {row!r}")
-    pts = np.asarray(rows, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-        raise ValueError(f"{path}: expected n x 3 point rows, got {pts.shape}")
+            numbered = [(n, row) for n, row in enumerate(csv.reader(fh), 1) if row]
+    # rows are checked one by one so that an error names the row, where numpy
+    # would only report an inhomogeneous shape
+    rows = []
+    for n, row in numbered:
+        try:
+            values = [float(v) for v in row]
+        except (TypeError, ValueError):
+            if n == 1 and not is_json:
+                continue  # a CSV header row
+            raise ValueError(f"{path}: bad row {n}: {row!r}")
+        if len(values) != 3:
+            raise ValueError(f"{path}: expected n x 3 point rows, row {n} has {len(values)} values")
+        rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: expected n x 3 point rows, got none")
+    pts = np.asarray(rows)
     if not np.isfinite(pts).all():
         raise ValueError(f"{path}: points must be finite")
     return pts

@@ -325,9 +325,10 @@ class NormConfig:
 
     def check_algebra(self, alg):
         if alg.name == "cga" and self.variant == "plain" and not self.allow_unstable:
+            stable = tuple(v for v in NORM_VARIANTS if v != "plain")
             raise ValueError(
-                "plain normalization is unstable on the conformal algebra; "
-                "pass allow_unstable=True to use it anyway"
+                f"norm variant {self.variant!r} is unstable on the conformal algebra; "
+                f"use one of {stable} (only NormConfig(..., allow_unstable=True) admits it)"
             )
 
 

@@ -122,7 +122,8 @@ class ModelConfig:
         self.norm_epsilon = (
             float(norm_epsilon) if norm_epsilon is not None else default_norm.epsilon
         )
-        NormConfig(self.norm_variant, self.norm_epsilon)  # validate early
+        # validate early, not at the first forward
+        self.norm_config().check_algebra(get_algebra(self.algebra_name))
         self.init = init or ("identity" if variant == "C" else "kaiming")
         if self.init not in ("kaiming", "identity"):
             raise ValueError(f"unknown init {self.init!r}")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaeq.algebra import (
+    Algebra,
     ExpConvergenceError,
     NonInvertibleError,
     blade_coefficient,
@@ -22,6 +23,7 @@ from gaeq.algebra import (
 )
 from oracles import (
     GENERATOR_SQUARES,
+    brute_blade_product,
     brute_join,
     brute_multivector_product,
     brute_wedge,
@@ -74,6 +76,27 @@ def test_product_against_brute_force_multiplier(any_algebra, rng):
         got = geometric_product(alg, x, y)
         want = brute_multivector_product(x, y, squares)
         assert np.abs(got - want).max() < 1e-12
+
+
+# signatures outside the three built-in algebras: mixed squares with
+# degenerate generators first, last and in between
+OTHER_SIGNATURES = [(1, -1, 0, 1, 1, -1), (0, 1, -1, 1, 0)]
+
+
+@pytest.mark.parametrize("squares", OTHER_SIGNATURES, ids=str)
+def test_other_signatures_match_oracle(squares, rng):
+    alg = Algebra("custom", squares, [str(i) for i in range(len(squares))])
+    gens = [tuple(i for i in range(alg.n) if a >> i & 1) for a in range(alg.size)]
+    for a in range(alg.size):
+        for b in range(alg.size):
+            sign, out = brute_blade_product(gens[a], gens[b], squares)
+            assert alg.gp_sign[a, b] == sign
+            if sign:
+                assert alg.gp_mask[a, b] == sum(1 << g for g in out)
+    for _ in range(3):
+        x, y = random_mv(alg, rng), random_mv(alg, rng)
+        np.testing.assert_allclose(wedge(alg, x, y), brute_wedge(x, y, squares), atol=1e-12)
+        np.testing.assert_allclose(join(alg, x, y), brute_join(x, y, squares), atol=1e-12)
 
 
 # (x shape, y shape) with None for the blade axis: a broadcast (T, C, n) x (n,)
@@ -513,6 +536,39 @@ def test_conformal_frame_product(cga):
     # remainder is a pure bivector in the e+ e- plane
     assert np.abs(grade_project(cga, rest, 2) - rest).max() == 0.0
     assert abs(rest[cga.blade_index("e+-")]) == 1.0
+
+
+# -- blade bookkeeping and shared tables ----------------------------------------
+
+
+@pytest.mark.parametrize("name,blade,bad", [("ega", "e0", "0"), ("pga", "e+", "+"), ("cga", "e0", "0")])
+def test_blade_index_names_unknown_generator(name, blade, bad):
+    alg = get_algebra(name)
+    with pytest.raises(ValueError) as exc:
+        alg.blade_index(blade)
+    msg = str(exc.value)
+    assert repr(blade) in msg and repr(bad) in msg and str(alg.labels) in msg
+
+
+TABLES = (
+    "grades", "gp_sign", "gp_mask", "gp_tensor", "wedge_tensor", "inner_weights",
+    "reverse_signs", "involute_signs", "join_sign", "join_mask", "join_tensor",
+    "rc_sign", "infinity", "origin",
+)
+
+
+def test_shared_tables_are_read_only(any_algebra):
+    # get_algebra hands out one instance, so a write into a table would
+    # corrupt every later product
+    alg = any_algebra
+    tables = [getattr(alg, name, None) for name in TABLES]
+    tables += alg._grade_masks + alg._grade_indices
+    tables = [t for t in tables if t is not None]
+    # the eight tables every algebra has, and a mask and an index per grade
+    assert len(tables) >= 8 + 2 * (alg.n + 1)
+    for t in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            t[(0,) * t.ndim] = 1
 
 
 # -- multiplication operators -------------------------------------------------

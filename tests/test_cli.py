@@ -265,6 +265,26 @@ class TestDemoAttention:
         assert logits[0, 2] == -2.0
         assert abs(logits[0, 1] - (-1.0)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [("pts.csv", "0,0,0\n1,2\n3,4,5\n"), ("pts.json", "[[0,0,0],[1,2],[3,4,5]]")],
+        ids=["csv", "json"],
+    )
+    def test_ragged_points_name_file_and_row(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        rc = main(["demo-attention", "--variant", "ega_distance", "--points", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}: expected n x 3 point rows, row 2 has 2 values" in err
+
+    def test_non_numeric_json_point_names_row(self, tmp_path, capsys):
+        path = tmp_path / "pts.json"
+        path.write_text('[[0, 0, 0], [1, "a", 2]]')
+        rc = main(["demo-attention", "--variant", "ega_distance", "--points", str(path)])
+        assert rc == 2
+        assert f"{path}: bad row 2: [1, 'a', 2]" in capsys.readouterr().err
+
     def test_text_table_lists_pairs(self, capsys):
         rc = main(["demo-attention", "--variant", "ega_distance"])
         text = capsys.readouterr().out

@@ -87,6 +87,17 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig("E", attn_variant="ip_pga_to_cga")
 
+    def test_conformal_plain_norm_rejected_at_config(self):
+        # plain normalization divides by signed inner products that vanish on
+        # null conformal inputs; the config rejects it instead of the first forward
+        with pytest.raises(ValueError, match="'plain'.*'abs'.*'per_grade_abs'"):
+            ModelConfig("C", norm_variant="plain")
+
+    def test_conformal_abs_norm_runs(self, batch):
+        model = build_model(ModelConfig("C", blocks=1, norm_variant="abs"))
+        pts, sc = forward(model, batch)
+        assert np.isfinite(pts).all() and np.isfinite(sc).all()
+
     def test_dict_round_trip(self):
         cfg = ModelConfig("iP", blocks=2, seed=11, norm_epsilon=0.5)
         again = ModelConfig.from_dict(cfg.to_dict())

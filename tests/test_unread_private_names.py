@@ -1,6 +1,8 @@
-"""Every private name (_name) a module of src/gaeq binds at module level is
-read somewhere in src/gaeq or perfbench/: a helper or constant nothing reads
-is dead code, such as one left behind when a second code path is removed."""
+"""Every private name (_name) a module of src/gaeq binds at module level, and
+every private method and self._name attribute of its classes, is read
+somewhere in src/gaeq or perfbench/: a helper, constant or attribute nothing
+reads is dead code, such as one left behind when a second code path is
+removed."""
 
 import ast
 import pathlib
@@ -14,19 +16,35 @@ READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py
 
 def private_definitions(tree):
     """{name: line} of the private, non-dunder names bound at module level
-    by a def, a class or an assignment."""
+    by a def, a class or an assignment, and of the private methods and
+    self._name attributes of every class."""
     defined = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
+
+    def bind(names, line):
         for name in names:
             if name.startswith("_") and not name.startswith("__"):
-                defined.setdefault(name, node.lineno)
+                defined.setdefault(name, line)
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bind([node.name], node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bind([n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)], node.lineno)
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bind([node.name], node.lineno)
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                bind([node.attr], node.lineno)
     return defined
 
 
@@ -43,9 +61,9 @@ def read_names(tree):
 
 
 def unread_private_names(source, readers):
-    """(line, name) of the private module-level names of source that none of
-    the reader sources reads; source reads its own names, so it should be
-    one of the readers."""
+    """(line, name) of the private names source defines (see
+    private_definitions) that none of the reader sources reads; source reads
+    its own names, so it should be one of the readers."""
     read = set().union(*(read_names(ast.parse(r)) for r in readers))
     defined = private_definitions(ast.parse(source))
     return sorted((line, name) for name, line in defined.items() if name not in read)
@@ -72,3 +90,19 @@ def test_check_sees_an_unread_name_and_counts_reads_elsewhere():
     )
     reader = "from m import _B\nimport m\nm._CAP\nm._Old = None\n"
     assert unread_private_names(source, [source, reader]) == [(5, "_dead"), (7, "_Old")]
+
+
+def test_check_sees_unread_class_members():
+    source = (
+        "class Table:\n"
+        "    def __init__(self):\n"
+        "        self._kept = 1\n"
+        "        self._stale, self.public = 2, 3\n"
+        "    def _used(self):\n"
+        "        return self._kept\n"
+        "    def _left_over(self):\n"
+        "        pass\n"
+        "    def run(self):\n"
+        "        return self._used()\n"
+    )
+    assert unread_private_names(source, [source]) == [(4, "_stale"), (7, "_left_over")]
