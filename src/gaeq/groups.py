@@ -12,13 +12,16 @@ The Euclidean group acts on each algebra by sandwiching with versors
   where the algebra represents them, and the mirror generator,
 * random group elements and plane-built Euclidean motions whose versor and
   3x3 affine action match by construction,
-* Kronecker-product constraint terms and rows for the equivariant-map solver.
+* ``constraint_rows``: the Kronecker-product constraint rows of one
+  generator, given its representation matrices and their flavor ("lie" or
+  "group"), for the equivariant-map solver's dense reference.
 
 Group tags: "se3" = orientation preserving (no mirror constraint), "e3"
 adds the mirror.  For the Euclidean algebra translations act trivially, so
 the tags effectively mean SO(3) and O(3) there.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,7 @@ from gaeq.algebra import (
     sandwich,
     wedge,
 )
-from gaeq.embeddings import embed_plane_cga, embed_plane_pga
+from gaeq.embeddings import _check_unit_normal, embed_plane_cga, embed_plane_pga
 
 __all__ = [
     "Versor",
@@ -45,7 +48,6 @@ __all__ = [
     "random_group_element",
     "EuclideanMotion",
     "random_motion",
-    "RepMatrix",
     "constraint_rows",
 ]
 
@@ -174,8 +176,11 @@ class EuclideanMotion:
     def __post_init__(self):
         m = np.eye(3)
         t = np.zeros(3)
-        for n, delta in self.planes:
-            n = np.asarray(n, dtype=float)
+        for i, (n, delta) in enumerate(self.planes):
+            try:
+                n = _check_unit_normal(n)
+            except ValueError as err:
+                raise ValueError(f"plane {i}: {err}") from None
             h = np.eye(3) - 2.0 * np.outer(n, n)
             m = h @ m
             t = h @ t + 2.0 * float(delta) * n
@@ -235,20 +240,6 @@ def random_motion(rng, n_planes, center=None, offset_scale=1.0):
 # -- constraint rows for the solver ------------------------------------------
 
 
-@dataclass
-class RepMatrix:
-    """One representation matrix, either a finite group element ("group")
-    or a Lie algebra action ("lie")."""
-
-    matrix: np.ndarray
-    flavor: str
-
-    def __post_init__(self):
-        if self.flavor not in ("group", "lie"):
-            raise ValueError(f"flavor must be 'group' or 'lie', got {self.flavor!r}")
-        self.matrix = np.asarray(self.matrix, dtype=float)
-
-
 def _kron(a, b):
     # np.kron for two matrices, the same products without its shape handling
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
@@ -274,23 +265,23 @@ def _kron_sum(mats):
     return total
 
 
-def constraint_rows(out_rep, in_reps):
+def constraint_rows(out, ins, flavor):
     """Rows whose kernel is the space of equivariant linear maps.
 
-    A map phi from the tensor product of the input representations to the
-    output representation is flattened row major, phi[i, j] -> vec[i * n_in
-    + j].  For a Lie constraint the rows express d_out phi - phi d_in = 0,
+    out and ins are the output and input representation matrices, all of
+    one flavor: Lie algebra actions ("lie") or finite group elements
+    ("group").  A map phi from the tensor product of the inputs to the
+    output is flattened row major, phi[i, j] -> vec[i * n_in + j].  For a
+    Lie constraint the rows express d_out phi - phi d_in = 0,
     kron(d_out, I) - kron(I, d_in^T); for a finite element they express
-    r_out phi r_in^-1 - phi = 0, kron(r_out, r_in^-T) - I.  All
-    representations share the flavor.
+    r_out phi r_in^-1 - phi = 0, kron(r_out, r_in^-T) - I.
     """
-    flavors = {out_rep.flavor} | {r.flavor for r in in_reps}
-    if len(flavors) != 1:
-        raise ValueError("mixed group/lie constraint")
-    n_out = out_rep.matrix.shape[0]
-    n_in = int(np.prod([r.matrix.shape[0] for r in in_reps])) if in_reps else 1
-    if out_rep.flavor == "lie":
-        d_in = _kron_sum([r.matrix for r in in_reps]) if in_reps else np.zeros((1, 1))
-        return _kron(out_rep.matrix, np.eye(n_in)) - _kron(np.eye(n_out), d_in.T)
-    r_in = _kron_all([r.matrix for r in in_reps]) if in_reps else np.eye(1)
-    return _kron(out_rep.matrix, np.linalg.inv(r_in).T) - np.eye(n_out * n_in)
+    if flavor not in ("group", "lie"):
+        raise ValueError(f"flavor must be 'group' or 'lie', got {flavor!r}")
+    n_out = out.shape[0]
+    n_in = math.prod(m.shape[0] for m in ins)
+    if flavor == "lie":
+        d_in = _kron_sum(ins) if ins else np.zeros((1, 1))
+        return _kron(out, np.eye(n_in)) - _kron(np.eye(n_out), d_in.T)
+    r_in = _kron_all(ins)
+    return _kron(out, np.linalg.inv(r_in).T) - np.eye(n_out * n_in)

@@ -56,8 +56,13 @@ class MvChannels:
         self.scalars = np.asarray(scalars, dtype=float)
         if self.scalars.ndim != 2 or self.scalars.shape[0] != self.mv.shape[0]:
             raise ValueError("scalar channels must be (tokens, s_channels)")
-        if not (np.isfinite(self.mv).all() and np.isfinite(self.scalars).all()):
-            raise ValueError("non-finite channel data")
+        for kind, arr in (("multivector", self.mv), ("scalar", self.scalars)):
+            if not np.isfinite(arr).all():
+                token, channel = np.argwhere(~np.isfinite(arr))[0][:2]
+                raise ValueError(
+                    f"non-finite channel data in the {kind} channels, first at "
+                    f"token {token}, channel {channel}"
+                )
 
     @property
     def tokens(self):

@@ -57,10 +57,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from gaeq.algebra import geometric_product, get_algebra, left_mult_matrix, wedge
+from gaeq.algebra import get_algebra, left_mult_matrix, wedge
 from gaeq.groups import (
     GROUPS,
-    RepMatrix,
     constraint_rows,
     drho,
     lie_generators,
@@ -539,22 +538,15 @@ class GradeSlice:
         return ins, len(alg.grade_indices(self.output_grade))
 
 
-def _slice_reps(alg, group, gs):
-    """(output rep, input reps) of every generator restricted to a slice."""
-    return [
-        (
-            RepMatrix(blocks[gs.output_grade], flavor),
-            [RepMatrix(blocks[g], flavor) for g in gs.input_grades],
-        )
-        for flavor, blocks in _generator_blocks(alg, group)
-    ]
-
-
 def _slice_stack(alg, group, gs):
-    """Dense stacked constraint matrix for one grade slice."""
-    return np.vstack(
-        [constraint_rows(out, ins) for out, ins in _slice_reps(alg, group, gs)]
-    )
+    """Dense stacked constraint matrix for one grade slice: the
+    constraint_rows of every generator's diagonal blocks on the slice's
+    grades (_generator_blocks), in generator order."""
+    rows = []
+    for flavor, blocks in _generator_blocks(alg, group):
+        ins = [blocks[g] for g in gs.input_grades]
+        rows.append(constraint_rows(blocks[gs.output_grade], ins, flavor))
+    return np.vstack(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -597,52 +589,36 @@ def _invariant_nonzeros(k):
 
 
 @functools.lru_cache(maxsize=None)
-def _spin_pieces(alg):
-    """Per grade, the block's rotation pieces as exact signed blade
-    selections, stacked by width: {1: (count, n_grade, 1) spin-0 pieces,
-    3: (count, n_grade, 3) spin-1 pieces}, widths without a piece left out.
+def _blade_tables(alg):
+    """Per grade, the block's rotation pieces as (blade, sign) tables,
+    {width: (index in the grade block, sign)}, both shaped (count, width):
+    width 1 for the spin-0 pieces, 3 for the spin-1 pieces, widths without
+    a piece left out.
 
     Rotations act on e1, e2, e3 only, so for every blade X over the other
     generators X and e123 X are invariant, and (e_i X) and (e_i e123 X)
-    transform like (e1, e2, e3).  Together they cover every blade once.
+    transform like (e1, e2, e3).  Every piece column is one signed blade,
+    read off gp_sign, and together the pieces cover every blade once.
     """
-    e = np.eye(alg.size)
     rot = alg.blade_index("e123")
-    vec = [alg.blade_index(f"e{i}") for i in "123"]
-    other = e[[m for m in range(alg.size) if not m & rot]]
-    dual = geometric_product(alg, e[rot], other)
-    pieces = [p[:, None] for p in np.concatenate([other, dual])]
-    for base in (other, dual):
-        # (3, n_other, size) -> one (size, 3) piece per blade X
-        pieces += list(geometric_product(alg, e[vec, None], base).transpose(1, 2, 0))
-    rot_d = [drho(alg, x) for x in lie_generators(alg)[:3]]
-    for p in pieces:
-        for d in rot_d:
-            want = p @ d[np.ix_(vec, vec)] if p.shape[1] == 3 else 0 * p
-            if not np.array_equal(d @ p, want):
-                raise AssertionError(f"{alg.name} piece does not intertwine rotations")
-    stacks = []
-    for g in range(alg.n + 1):
-        kept = [p for p in (p[alg.grade_indices(g)] for p in pieces) if p.any()]
-        by_width = {w: [p for p in kept if p.shape[1] == w] for w in (1, 3)}
-        stacks.append({w: np.stack(ps) for w, ps in by_width.items() if ps})
-    return stacks
-
-
-@functools.lru_cache(maxsize=None)
-def _blade_tables(alg):
-    """_spin_pieces as (blade, sign) tables: per grade, {width: (index in the
-    grade block, sign)}, both shaped (count, width), since every piece
-    column is one signed blade (checked)."""
+    vec = np.array([alg.blade_index(f"e{i}") for i in "123"])
+    other = np.flatnonzero(np.arange(alg.size) & rot == 0)[:, None]
+    dual, dual_sign = rot ^ other, alg.gp_sign[rot, other]
+    # (blades, signs), one row per piece: X then e123 X, e_i X then e_i e123 X
+    by_width = {
+        1: (np.vstack([other, dual]), np.vstack([np.ones(other.shape), dual_sign])),
+        3: (
+            np.vstack([vec ^ other, vec ^ dual]),
+            np.vstack([alg.gp_sign[vec, other], dual_sign * alg.gp_sign[vec, dual]]),
+        ),
+    }
     tables = []
-    for stacks in _spin_pieces(alg):
+    for g in range(alg.n + 1):
         table = {}
-        for w, p in stacks.items():
-            blade = np.abs(p).argmax(axis=1)
-            sign = np.take_along_axis(p, blade[:, None], axis=1)[:, 0]
-            if np.count_nonzero(p) != sign.size or not (np.abs(sign) == 1).all():
-                raise AssertionError(f"{alg.name} piece column is not a signed blade")
-            table[w] = blade, sign
+        for w, (blade, sign) in by_width.items():
+            at = alg.grades[blade[:, 0]] == g
+            if at.any():
+                table[w] = np.searchsorted(alg.grade_indices(g), blade[at]), sign[at]
         tables.append(table)
     return tables
 

@@ -172,9 +172,13 @@ class TokenBatch:
         self.center = None if center is None else np.asarray(center, dtype=float)
         if self.center is not None and self.center.shape != (3,):
             raise ValueError("center must be a 3-vector")
-        for arr in (self.points, self.vectors, self.scalars, self.center):
+        names = ("points", "vectors", "scalars", "center")
+        for name, arr in zip(names, (self.points, self.vectors, self.scalars, self.center)):
             if arr is not None and not np.isfinite(arr).all():
-                raise ValueError("non-finite batch data")
+                at = ""
+                if arr.ndim == 2:  # a row per token; center is one 3-vector
+                    at = f", first at token {np.argwhere(~np.isfinite(arr))[0][0]}"
+                raise ValueError(f"non-finite batch data in {name}{at}")
 
     @property
     def tokens(self):
@@ -262,6 +266,15 @@ class Model:
         return params
 
     def load_parameters(self, params):
+        """Load arrays named as parameters() names them; raises ValueError
+        naming every missing and every unexpected parameter, before any
+        layer changes."""
+        names = self.parameters().keys()
+        missing, unexpected = sorted(names - params.keys()), sorted(params.keys() - names)
+        if missing or unexpected:
+            raise ValueError(
+                f"missing parameters {missing}, unexpected parameters {unexpected}"
+            )
         for i, block in enumerate(self.blocks):
             for lname, layer in block.named_layers().items():
                 prefix = f"block{i}.{lname}."
@@ -425,9 +438,16 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """The model save_model wrote to path; raises ValueError naming the file
+    when it has no manifest or its parameters do not fit the model."""
     with np.load(path) as data:
+        if "__manifest__" not in data.files:
+            raise ValueError(f"{path}: no __manifest__, not a file save_model wrote")
         manifest = json.loads(bytes(data["__manifest__"]).decode())
         params = {k: data[k] for k in data.files if k != "__manifest__"}
     model = build_model(ModelConfig.from_dict(manifest["config"]))
-    model.load_parameters(params)
+    try:
+        model.load_parameters(params)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return model

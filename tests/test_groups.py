@@ -4,7 +4,7 @@ import scipy.linalg
 
 from gaeq.algebra import ga_exp, geometric_product, inner, sandwich
 from gaeq.groups import (
-    RepMatrix,
+    EuclideanMotion,
     Versor,
     _kron,
     constraint_rows,
@@ -165,6 +165,20 @@ def test_motion_fixes_center(rng):
     np.testing.assert_allclose(m.apply_points(center), center, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "normal, message",
+    [
+        (np.array([2.0, 0.0, 0.0]), "plane 1: plane normal must have unit length"),
+        (np.array([1.0, 0.0]), r"plane 1: expected a 3-vector normal, got shape \(2,\)"),
+    ],
+)
+def test_motion_rejects_bad_plane_normal(normal, message):
+    # a non-unit normal would give a non-isometric linear part
+    unit = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        EuclideanMotion([(unit, 0.5), (normal, 0.0)])
+
+
 def test_motion_ega_versor_requires_center(ega, rng):
     m = random_motion(rng, 2)
     with pytest.raises(ValueError):
@@ -183,11 +197,10 @@ def test_motion_versor_matches_linear_part(ega, rng):
 
 
 def test_constraint_rows_trivial(rng):
-    eye = RepMatrix(np.eye(4), "group")
-    out = constraint_rows(eye, [eye])
+    out = constraint_rows(np.eye(4), [np.eye(4)], "group")
     np.testing.assert_array_equal(out, np.zeros((16, 16)))
-    zero = RepMatrix(np.zeros((4, 4)), "lie")
-    np.testing.assert_array_equal(constraint_rows(zero, [zero]), np.zeros((16, 16)))
+    zero = np.zeros((4, 4))
+    np.testing.assert_array_equal(constraint_rows(zero, [zero], "lie"), np.zeros((16, 16)))
 
 
 def test_kron_matches_numpy(rng):
@@ -197,20 +210,17 @@ def test_kron_matches_numpy(rng):
         np.testing.assert_array_equal(_kron(a, b), np.kron(a, b))
 
 
-def test_constraint_rows_rejects_mixed_flavor():
-    with pytest.raises(ValueError):
-        constraint_rows(RepMatrix(np.eye(2), "lie"), [RepMatrix(np.eye(2), "group")])
+def test_constraint_rows_rejects_unknown_flavor():
+    with pytest.raises(ValueError, match="'spin'"):
+        constraint_rows(np.eye(2), [np.eye(2)], "spin")
 
 
 def test_constraint_rows_annihilate_equivariant_maps(ega, rng):
     # the identity map is equivariant; so is any grade projection
     lie, disc = generators(ega, "e3")
-    rows = [
-        constraint_rows(RepMatrix(drho(ega, x), "lie"), [RepMatrix(drho(ega, x), "lie")])
-        for x in lie
-    ]
+    rows = [constraint_rows(drho(ega, x), [drho(ega, x)], "lie") for x in lie]
     g = rho(ega, disc[0])
-    rows.append(constraint_rows(RepMatrix(g, "group"), [RepMatrix(g, "group")]))
+    rows.append(constraint_rows(g, [g], "group"))
     stack = np.vstack(rows)
     for k in range(4):
         proj = np.diag((ega.grades == k).astype(float))
@@ -221,11 +231,8 @@ def test_stacked_constraint_rank_full_space(ega):
     """The full-algebra linear constraint stack leaves exactly 4 degrees of
     freedom for the Euclidean group with mirrors."""
     lie, disc = generators(ega, "e3")
-    rows = [
-        constraint_rows(RepMatrix(drho(ega, x), "lie"), [RepMatrix(drho(ega, x), "lie")])
-        for x in lie
-    ]
+    rows = [constraint_rows(drho(ega, x), [drho(ega, x)], "lie") for x in lie]
     g = rho(ega, disc[0])
-    rows.append(constraint_rows(RepMatrix(g, "group"), [RepMatrix(g, "group")]))
+    rows.append(constraint_rows(g, [g], "group"))
     stack = np.vstack(rows)
     assert np.linalg.matrix_rank(stack, tol=1e-10) == 64 - 4

@@ -88,6 +88,17 @@ class TestMvChannels:
         with pytest.raises(ValueError):
             MvChannels(ega, bad)
 
+    def test_non_finite_error_names_array_token_and_channel(self, ega):
+        mv = np.zeros((5, 3, ega.size))
+        mv[3, 2, 4] = np.nan
+        mv[4, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="multivector channels, first at token 3, channel 2$"):
+            MvChannels(ega, mv)
+        scalars = np.zeros((5, 4))
+        scalars[1, 3] = -np.inf
+        with pytest.raises(ValueError, match="scalar channels, first at token 1, channel 3$"):
+            MvChannels(ega, np.zeros((5, 3, ega.size)), scalars)
+
     def test_default_scalars_empty(self, any_algebra):
         x = MvChannels(any_algebra, np.zeros((3, 2, any_algebra.size)))
         assert x.scalars.shape == (3, 0)

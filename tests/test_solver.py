@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaeq.algebra import get_algebra, inner
+from gaeq.algebra import geometric_product, get_algebra, inner
 from gaeq import solver
 from gaeq.embeddings import embed_point_pga
 from gaeq.groups import (
     GROUPS,
-    RepMatrix,
     constraint_rows,
     drho,
     lie_generators,
@@ -28,6 +27,7 @@ from gaeq.solver import (
     GradeSlice,
     _Frame,
     _SpanBuilder,
+    _blade_tables,
     _linear_blocks,
     _linear_slice_svds,
     _mirror_even,
@@ -36,7 +36,6 @@ from gaeq.solver import (
     _slice_null_dim,
     _so3_invariants,
     _spot_check_generic_generator,
-    _spin_pieces,
     _spot_check_residual,
     _tz_blocks,
     SliceTooLargeError,
@@ -121,8 +120,8 @@ def kronecker_spot_check(alg, basis_flat):
     """(residual, scale) of the spot check from the Kronecker constraint rows."""
     gens = lie_generators(alg)
     x = sum(c * g for c, g in zip(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0]), gens))
-    rep = RepMatrix(drho(alg, x), "lie")
-    k = constraint_rows(rep, [rep])
+    d = drho(alg, x)
+    k = constraint_rows(d, [d], "lie")
     return np.abs(k @ basis_flat.T).max(), np.abs(k).max()
 
 
@@ -192,10 +191,10 @@ def test_e3_span_inside_se3_span(any_algebra):
 
 def full_constraint_stack(alg, group):
     """The stacked constraints on the full 2^d x 2^d map, as one matrix."""
-    reps = [RepMatrix(drho(alg, x), "lie") for x in lie_generators(alg)]
+    reps = [(drho(alg, x), "lie") for x in lie_generators(alg)]
     if group == "e3":
-        reps.append(RepMatrix(rho(alg, mirror_versor(alg)), "group"))
-    return np.vstack([constraint_rows(r, [r]) for r in reps])
+        reps.append((rho(alg, mirror_versor(alg)), "group"))
+    return np.vstack([constraint_rows(m, [m], flavor) for m, flavor in reps])
 
 
 @pytest.mark.parametrize("group", ["e3", "se3"])
@@ -446,15 +445,66 @@ def test_invariant_basis_is_rotation_invariant(name, inputs, output, cols):
         assert np.linalg.matrix_rank(flat) == cols
 
 
+@functools.lru_cache(maxsize=None)
+def product_pieces(alg):
+    """The rotation pieces of _blade_tables built as dense columns by
+    geometric products, in the same order: per grade, {1: (count, n_grade,
+    1) spin-0 pieces X and e123 X, 3: (count, n_grade, 3) spin-1 pieces
+    (e_i X) and (e_i e123 X)}, widths without a piece left out."""
+    e = np.eye(alg.size)
+    rot = alg.blade_index("e123")
+    vec = [alg.blade_index(f"e{i}") for i in "123"]
+    other = e[[m for m in range(alg.size) if not m & rot]]
+    dual = geometric_product(alg, e[rot], other)
+    pieces = [p[:, None] for p in np.concatenate([other, dual])]
+    for base in (other, dual):
+        # (3, n_other, size) -> one (size, 3) piece per blade X
+        pieces += list(geometric_product(alg, e[vec, None], base).transpose(1, 2, 0))
+    stacks = []
+    for g in range(alg.n + 1):
+        kept = [p for p in (p[alg.grade_indices(g)] for p in pieces) if p.any()]
+        by_width = {w: [p for p in kept if p.shape[1] == w] for w in (1, 3)}
+        stacks.append({w: np.stack(ps) for w, ps in by_width.items() if ps})
+    return stacks
+
+
+def test_blade_tables_read_the_product_pieces(any_algebra):
+    # _blade_tables reads every piece off gp_sign; the pieces built by
+    # geometric products must be exactly its signed blades, intertwine the
+    # rotations exactly, and cover every blade once
+    alg = any_algebra
+    vec = [alg.blade_index(f"e{i}") for i in "123"]
+    rot_d = [drho(alg, x) for x in lie_generators(alg)[:3]]
+    tables, stacks = _blade_tables(alg), product_pieces(alg)
+    assert [list(t) for t in tables] == [list(s) for s in stacks]
+    covered = []
+    for g, (table, pieces) in enumerate(zip(tables, stacks)):
+        idx = alg.grade_indices(g)
+        for w, p in pieces.items():
+            blade = np.abs(p).argmax(axis=1)
+            sign = np.take_along_axis(p, blade[:, None], axis=1)[:, 0]
+            assert np.count_nonzero(p) == sign.size and (np.abs(sign) == 1).all()
+            got_blade, got_sign = table[w]
+            assert got_blade.dtype == blade.dtype and got_sign.dtype == sign.dtype
+            assert np.array_equal(got_blade, blade) and np.array_equal(got_sign, sign)
+            full = np.zeros((len(p), alg.size, w))
+            full[:, idx] = p
+            for d in rot_d:
+                want = full @ d[np.ix_(vec, vec)] if w == 3 else 0 * full
+                assert np.array_equal(d @ full, want)
+            covered += list(idx[blade].ravel())
+    assert sorted(covered) == list(range(alg.size))
+
+
 def loop_invariant_basis(alg, gs):
     """Integer reference form of a slice's frame (_slice_frame), as a dense
     (n_out, *in_dims, cols) tensor: the integer invariant tensors
-    (_so3_invariants), one tensordot per piece, per choice of one piece per
-    axis, in the frame's column order (piece widths, then tensor, then
-    pieces)."""
+    (_so3_invariants), one tensordot per piece (product_pieces, not the
+    frame's blade tables), per choice of one piece per axis, in the frame's
+    column order (piece widths, then tensor, then pieces)."""
     grades = (gs.output_grade,) + gs.input_grades
     dims = tuple(len(alg.grade_indices(g)) for g in grades)
-    stacks = [_spin_pieces(alg)[g] for g in grades]
+    stacks = [product_pieces(alg)[g] for g in grades]
     cols = [np.zeros(dims + (0,))]
     for widths in itertools.product(*stacks):
         for t in _so3_invariants(widths.count(3)):
@@ -624,10 +674,10 @@ def assert_reduced_gram_matches_kronecker_rows(alg, group, gs):
     if len(gens) == 6:  # rotations, then x, y, z translations; ega has none
         tz = drho(alg, gens[5])
         out, *ins = [
-            RepMatrix(tz[np.ix_(i, i)], "lie")
+            tz[np.ix_(i, i)]
             for i in map(alg.grade_indices, (gs.output_grade,) + gs.input_grades)
         ]
-        rows = constraint_rows(out, ins) @ basis
+        rows = constraint_rows(out, ins, "lie") @ basis
         want = rows.T @ rows
     frame = _slice_frame(alg, gs.output_grade, gs.input_grades)
     masks, stacks = zip(*_reduced_stacks(alg, group, frame))

@@ -125,6 +125,20 @@ class TestTokenBatch:
         with pytest.raises(ValueError):
             TokenBatch(bad)
 
+    @pytest.mark.parametrize("name", ["points", "vectors", "scalars", "center"])
+    def test_non_finite_error_names_array_and_token(self, name):
+        arrays = {
+            "points": np.zeros((4, 3)),
+            "vectors": np.zeros((4, 3)),
+            "scalars": np.zeros((4, 2)),
+            "center": np.zeros(3),
+        }
+        bad = arrays[name]
+        bad[(2, 1) if bad.ndim == 2 else 1] = np.nan
+        at = "" if name == "center" else ", first at token 2"
+        with pytest.raises(ValueError, match=f"non-finite batch data in {name}{at}$"):
+            TokenBatch(**arrays)
+
     def test_embedding_requires_center_for_e(self, batch):
         model = build_model(ModelConfig("E"))
         with pytest.raises(ValueError):
@@ -405,6 +419,33 @@ class TestSerialization:
         restored = load_model(path)
         after, _ = forward(restored, b)
         assert np.array_equal(before, after)
+
+
+    def test_load_names_file_without_manifest(self, tmp_path):
+        path = tmp_path / "bare.npz"
+        np.savez(path, weight=np.zeros(3))
+        with pytest.raises(ValueError, match="bare.npz: no __manifest__"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("drop", r"missing parameters \['block0.qkv.weight'\], unexpected parameters \[\]$"),
+            ("add", r"missing parameters \[\], unexpected parameters \['block0.extra'\]$"),
+        ],
+    )
+    def test_load_names_mismatched_parameters(self, tmp_path, edit, message):
+        path = tmp_path / "model.npz"
+        save_model(build_model(ModelConfig("P", seed=9)), path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        if edit == "drop":
+            del arrays["block0.qkv.weight"]
+        else:
+            arrays["block0.extra"] = np.zeros(2)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"model.npz: {message}"):
+            load_model(path)
 
 
 class TestCenterOfMass:

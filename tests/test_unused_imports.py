@@ -1,8 +1,11 @@
 """Every name a module of src/gaeq imports is used in it: referenced in its
-code, or re-exported through its __all__."""
+code, or re-exported through its __all__.  Since __all__ counts as a use,
+every __all__ entry must also name an attribute of its module, once."""
 
 import ast
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -36,3 +39,23 @@ def test_module_uses_every_import(path):
 def test_check_sees_an_unused_import_and_counts_all_as_use():
     source = "import os\nimport a.b\nfrom m import x, y as z\n__all__ = ['x']\na.c(z)\n"
     assert unused_imports(source) == [(1, "os")]
+
+
+def export_problems(module):
+    """(names in module.__all__ the module lacks, names __all__ repeats)."""
+    names = list(getattr(module, "__all__", []))
+    missing = [n for n in names if not hasattr(module, n)]
+    return missing, sorted({n for n in names if names.count(n) > 1})
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_all_entry_resolves_once(path):
+    name = "gaeq" if path.stem == "__init__" else f"gaeq.{path.stem}"
+    assert export_problems(importlib.import_module(name)) == ([], [])
+
+
+def test_export_check_sees_a_stale_and_a_repeated_name():
+    module = types.ModuleType("m")
+    module.x = 1
+    module.__all__ = ["x", "gone", "x"]
+    assert export_problems(module) == (["gone"], ["x"])
