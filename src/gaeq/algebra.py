@@ -13,6 +13,11 @@ the pairs sharing no generator.  The join is the wedge taken through right
 complements, join(x, y) = rc^-1(rc(x) wedge rc(y)), where
 rc(e_a) = sign e_(~a) with e_a wedge rc(e_a) the pseudoscalar.
 
+The conformal geometric product goes through the isomorphism
+Cl(4,1) = M4(C) instead of the 32^3 structure tensor: each blade is a
+signed permutation matrix in the real 8x8 form of its complex 4x4 image,
+and a product is one small matrix product read back onto the blades.
+
 Supported algebras and their generator orders:
 
 =========  =======================  ==============================
@@ -63,6 +68,28 @@ class NonInvertibleError(ValueError):
 
 class ExpConvergenceError(ArithmeticError):
     """Raised when the exponential series fails to converge."""
+
+
+def _conformal_matrices():
+    """Real 8x8 images of the 32 conformal blades, as a (32, 8, 8) array.
+
+    The generators e1, e2, e3, e+, e- map to sx(x)sx, sx(x)sy, sx(x)sz,
+    sy(x)I and i sz(x)I in M4(C) (Lounesto, Clifford Algebras and Spinors,
+    2001), which square to +1, +1, +1, +1, -1 and anticommute; a blade maps
+    to the product of its generators in ascending order, and a complex
+    matrix M to [[Re M, -Im M], [Im M, Re M]], a real homomorphism, so the
+    products are taken in real form.  Every entry is 0 or +-1.
+    """
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.diag([1.0 + 0j, -1.0])
+    one = np.eye(2)
+    mats = np.eye(8)[None]
+    # bit i is the highest bit of blades 2^i .. 2^(i+1) - 1
+    for a, b in ((sx, sx), (sx, sy), (sx, sz), (sy, one), (1j * sz, one)):
+        g = np.kron(a, b)
+        mats = np.concatenate([mats, mats @ np.block([[g.real, -g.imag], [g.imag, g.real]])])
+    return mats
 
 
 def _structure_tensor(sign, mask):
@@ -150,7 +177,17 @@ class Algebra:
 
         self.infinity = None
         self.origin = None
+        # conformal blades as flattened real 8x8 matrices, rep[a] @ rep[b] =
+        # gp_sign[a, b] rep[a ^ b]; a product is read back from the left
+        # 8x4 half of its matrix, where the blades (rep_half) are orthogonal
+        # with squared norm 4, so rep_back = rep_half.T / 4 maps those 32
+        # entries to coefficients
+        self.rep = self.rep_half = self.rep_back = None
         if name == "cga":
+            mats = _conformal_matrices()
+            self.rep = mats.reshape(self.size, 64)
+            self.rep_half = mats[:, :, :4].reshape(self.size, 32)
+            self.rep_back = self.rep_half.T / 4
             ip, im = self.blade_index("e+"), self.blade_index("e-")
             self.infinity = np.zeros(self.size)
             self.infinity[[im, ip]] = 1.0, -1.0
@@ -226,11 +263,15 @@ def get_algebra(name):
 # -- products -------------------------------------------------------------
 
 
-# rows per block of the product kernel: the (rows, n, n) left-multiplication
-# maps of a cga block stay at 512 KB whatever the batch size; on 2048 rows of
-# pga and cga (BLAS at one thread) 64 to 128 rows ran fastest, 32 and 256
-# slower
+# rows per block of the structure-tensor kernel: the (rows, n, n)
+# left-multiplication maps of a pga block stay at 128 KB whatever the batch
+# size; on 2048 rows of pga (BLAS at one thread) 64 to 128 rows ran fastest,
+# 32 and 256 slower
 _BLOCK_ROWS = 64
+# rows per chunk of the conformal matrix product: on 2048 rows (BLAS at one
+# thread) 1024-row chunks were 2.3x slower than 256, and an unchunked
+# product lost most of its gain above 2048 rows
+_REP_ROWS = 256
 
 
 def _bilinear(x, y, tensor):
@@ -254,8 +295,37 @@ def _bilinear(x, y, tensor):
     return out.reshape(lead + (n,))
 
 
+def _rep_product(alg, x, y):
+    """Conformal geometric product through the 8x8 blade matrices.
+
+    Per chunk of rows, x' and y' (x and y without their scalar parts) map to
+    their matrices, X = x' rep and the left half Y = y' rep_half;
+    X Y, read back through rep_back, is x'y', and x0 y + y0 x' adds the
+    rest.  The split keeps the scalar terms exact: gp(1, y) and gp(y, 1)
+    are y bit for bit, and each blade pair's product, whose every
+    intermediate is a multiple of 1/4, is exact.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    lead = x.shape[:-1]
+    xr, yr = x.reshape(-1, alg.size), y.reshape(-1, alg.size)
+    left, right = alg.rep[1:], alg.rep_half[1:]
+    out = np.empty(xr.shape)
+    for start in range(0, xr.shape[0], _REP_ROWS):
+        rows = slice(start, start + _REP_ROWS)
+        xc, yc, z = xr[rows], yr[rows], out[rows]
+        r = z.shape[0]
+        xm = (xc[:, 1:] @ left).reshape(r, 8, 8)
+        ym = (yc[:, 1:] @ right).reshape(r, 8, 4)
+        np.matmul((xm @ ym).reshape(r, 32), alg.rep_back, out=z)
+        z += xc[:, :1] * yc
+        z[:, 1:] += yc[:, :1] * xc[:, 1:]
+    return out.reshape(lead + (alg.size,))
+
+
 def geometric_product(alg, x, y):
     """Geometric product, broadcasting over leading axes."""
+    if alg.rep is not None:
+        return _rep_product(alg, x, y)
     return _bilinear(x, y, alg.gp_tensor)
 
 

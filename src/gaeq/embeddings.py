@@ -88,14 +88,33 @@ def embed_point_pga(p):
 
 
 def embed_point_cga(p):
-    """Conformal null 1-vector o + p + |p|^2 inf / 2."""
+    """Conformal null 1-vector o + p + |p|^2 inf / 2.
+
+    Raises ValueError at the first point whose |p|^2 is not finite (it
+    overflows from about 1e154 on), naming its token.
+    """
     p = _check_point(p)
     alg = get_algebra("cga")
-    # a stacked (1, 3) @ (3, 1) product rounds as the single-point p @ p
-    sq = (p[..., None, :] @ p[..., :, None])[..., 0]
+    # a stacked (1, 3) @ (3, 1) product rounds as the single-point p @ p;
+    # an overflow raises below, naming the point, instead of warning here
+    with np.errstate(over="ignore"):
+        sq = (p[..., None, :] @ p[..., :, None])[..., 0]
+    if not np.isfinite(sq).all():
+        where = _first_token(~np.isfinite(sq[..., 0]))
+        where = f" at {where}" if where else ""
+        raise ValueError(f"|p|^2 of a point is not finite{where}: too large for the conformal embedding")
     out = alg.origin + 0.5 * sq * alg.infinity
     out[..., [1, 2, 4]] += p
     return out
+
+
+def _first_token(bad):
+    """'token i' (or 'token (i, j)') naming the first true entry of a mask
+    over points, '' for a single point."""
+    if not bad.ndim:
+        return ""
+    first = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f"token {first[0] if len(first) == 1 else first}"
 
 
 def _normalize(coords, w, m, what):
@@ -106,11 +125,8 @@ def _normalize(coords, w, m, what):
     floor = 1e-12 * np.maximum(np.abs(m).max(axis=-1), 1e-300)
     bad = np.abs(w) < floor
     if np.any(bad):
-        where = ""
-        if bad.ndim:
-            first = tuple(int(i) for i in np.argwhere(bad)[0])
-            where = f"token {first[0] if len(first) == 1 else first}: "
-        raise PointAtInfinityError(where + what)
+        where = _first_token(bad)
+        raise PointAtInfinityError(f"{where}: {what}" if where else what)
     return coords / w[..., None]
 
 

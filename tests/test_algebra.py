@@ -21,6 +21,7 @@ from gaeq.algebra import (
     sandwich,
     wedge,
 )
+from gaeq.algebra import _BLOCK_ROWS, _REP_ROWS, _bilinear
 from oracles import (
     GENERATOR_SQUARES,
     brute_blade_product,
@@ -133,9 +134,21 @@ def test_batched_products_match_oracle(name, kernel, oracle, shapes, rng):
     assert np.abs(got - want).max(initial=0.0) < 1e-12
 
 
-# row counts around the kernel's 64-row blocks: none, one, one short of a
-# block, one block, one over, two blocks and one more
+# row counts around the structure-tensor kernel's 64-row blocks: none, one,
+# one short of a block, one block, one over, two blocks and one more
 KERNEL_ROWS = (0, 1, 63, 64, 65, 129)
+# and, for the conformal matrix product only, around its 256-row chunks
+REP_ROWS = (255, 256, 257, 513)
+
+
+def kernel_rows(alg, kernel):
+    """(rows per block or chunk, row counts to test) of the kernel behind
+    kernel(alg, x, y)."""
+    if kernel is geometric_product and alg.rep is not None:
+        return _REP_ROWS, KERNEL_ROWS + REP_ROWS
+    return _BLOCK_ROWS, KERNEL_ROWS
+
+
 # (x shape, y shape) per layout, r for the row count and None for the blade
 # axis: matching rows, x broadcast against rows of y, and an outer broadcast
 # of r x rows against 2 y rows
@@ -150,18 +163,21 @@ KERNEL_TENSORS = {geometric_product: "gp_tensor", wedge: "wedge_tensor", join: "
 @settings(max_examples=80, deadline=None)
 @given(
     case=st.sampled_from([p.values for p in KERNELS]),
-    rows=st.sampled_from(KERNEL_ROWS),
     layout=st.sampled_from(sorted(KERNEL_LAYOUTS)),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_kernel_matches_dense_contraction(case, rows, layout, seed):
+def test_kernel_matches_dense_contraction(case, layout, seed, data):
     # the product kernel against the dense contraction
-    # z_k = sum_ab T[a, b, k] x_a y_b done by einsum, entry by entry
-    # relative to the same contraction of the magnitudes (a bound on the
-    # rounding of either), and against the oracle on the rows either side
-    # of the first block edge and on the last row
+    # z_k = sum_ab T[a, b, k] x_a y_b done by einsum and against the
+    # structure-tensor kernel, entry by entry relative to the same
+    # contraction of the magnitudes (a bound on the rounding of either), and
+    # against the oracle on the rows either side of the first block edge of
+    # either kernel and on the last row
     name, kernel, oracle = case
     alg = get_algebra(name)
+    edge, row_counts = kernel_rows(alg, kernel)
+    rows = data.draw(st.sampled_from(row_counts), label="rows")
     rng = np.random.default_rng(seed)
     x, y = (
         rng.uniform(-1, 1, tuple({"r": rows, None: alg.size}.get(d, d) for d in s))
@@ -173,9 +189,11 @@ def test_kernel_matches_dense_contraction(case, rows, layout, seed):
     assert got.shape == want.shape
     scale = np.einsum("...a,...b,abk->...k", np.abs(x), np.abs(y), np.abs(tensor))
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert np.all(np.abs(got - _bilinear(x, y, tensor)) <= 1e-13 * scale)
     xb, yb = (a.reshape(-1, alg.size) for a in np.broadcast_arrays(x, y))
     flat = got.reshape(-1, alg.size)
-    for r in sorted({i for i in (62, 63, 64, flat.shape[0] - 1) if 0 <= i < flat.shape[0]}):
+    checked = {62, 63, 64, edge - 2, edge - 1, edge, flat.shape[0] - 1}
+    for r in sorted(i for i in checked if 0 <= i < flat.shape[0]):
         want_r = oracle(xb[r], yb[r], GENERATOR_SQUARES[name])
         assert np.abs(flat[r] - want_r).max() < 1e-12
 
@@ -183,14 +201,15 @@ def test_kernel_matches_dense_contraction(case, rows, layout, seed):
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(["ega", "pga", "cga"]),
-    rows=st.sampled_from(KERNEL_ROWS),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
-def test_kernel_units_are_exact(name, rows, seed):
+def test_kernel_units_are_exact(name, seed, data):
     # the kernel adds only exact zeros around the unit's one term: the
     # scalar 1 is the geometric product's unit and the pseudoscalar the
     # join's, bit for bit, on either side
     alg = get_algebra(name)
+    rows = data.draw(st.sampled_from(kernel_rows(alg, geometric_product)[1]), label="rows")
     y = np.random.default_rng(seed).uniform(-1, 1, (rows, alg.size))
     for a, b in [(alg.unit(), y), (y, alg.unit())]:
         assert np.array_equal(geometric_product(alg, a, b), y)
@@ -198,6 +217,40 @@ def test_kernel_units_are_exact(name, rows, seed):
         pseudo = alg.blade("e" + "".join(alg.labels))
         for a, b in [(pseudo, y), (y, pseudo)]:
             assert np.array_equal(join(alg, a, b), y)
+
+
+def test_conformal_blade_matrices_multiply_as_blades(cga):
+    # E_a E_b = gp_sign[a, b] E_(a ^ b) for all 1024 blade pairs, and every
+    # E_a is a signed permutation matrix in the real form [[A, -B], [B, A]]
+    mats = cga.rep.reshape(cga.size, 8, 8)
+    prods = mats[:, None] @ mats[None]
+    assert np.array_equal(prods, cga.gp_sign[:, :, None, None] * mats[cga.gp_mask])
+    assert np.array_equal(np.abs(mats).sum(axis=1), np.ones((cga.size, 8)))
+    assert np.array_equal(np.abs(mats).sum(axis=2), np.ones((cga.size, 8)))
+    assert np.array_equal(mats[:, :4, :4], mats[:, 4:, 4:])
+    assert np.array_equal(mats[:, :4, 4:], -mats[:, 4:, :4])
+
+
+def test_conformal_back_map_is_exact(cga):
+    # the blades are orthogonal, with squared norm 8 over the whole matrix
+    # and 4 over the left 8x4 half the product is read from, so the map
+    # back from that half is exactly its transpose over 4
+    idx = (8 * np.arange(8)[:, None] + np.arange(4)).ravel()
+    half = cga.rep[:, idx]
+    assert np.array_equal(cga.rep_half, half)
+    assert np.array_equal(cga.rep @ cga.rep.T, 8 * np.eye(cga.size))
+    assert np.array_equal(half @ half.T, 4 * np.eye(cga.size))
+    assert np.array_equal(cga.rep_back, half.T / 4)
+    assert np.array_equal(cga.rep_back @ half, np.eye(cga.size))
+    # only the conformal product goes through matrices
+    assert get_algebra("ega").rep is None and get_algebra("pga").rep is None
+
+
+def test_conformal_product_of_blades_is_exact(cga):
+    # every blade pair multiplied at once through the matrices: each
+    # intermediate is a multiple of 1/4, so the product is the sign table
+    eye = np.eye(cga.size)
+    assert np.array_equal(geometric_product(cga, eye[:, None], eye[None]), cga.gp_tensor)
 
 
 def test_product_associative_on_blades(any_algebra):
@@ -553,7 +606,7 @@ def test_blade_index_names_unknown_generator(name, blade, bad):
 TABLES = (
     "grades", "gp_sign", "gp_mask", "gp_tensor", "wedge_tensor", "inner_weights",
     "reverse_signs", "involute_signs", "join_sign", "join_mask", "join_tensor",
-    "rc_sign", "infinity", "origin",
+    "rc_sign", "infinity", "origin", "rep", "rep_half", "rep_back",
 )
 
 

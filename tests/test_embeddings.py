@@ -110,6 +110,20 @@ def test_extract_infinite_pga_point_raises(pga):
         extract_point(pga.blade("e013"), "pga")
 
 
+@pytest.mark.parametrize(
+    "shape,bad,where",
+    [((3,), (), ""), ((5, 3), (3,), " at token 3"), ((2, 4, 3), (1, 2), r" at token \(1, 2\)")],
+)
+def test_cga_embedding_overflow_names_first_point(shape, bad, where, rng):
+    # |p|^2 overflows from about 1e154 on; the error names the point, and
+    # the overflow itself is not flagged (over="raise" would turn it into a
+    # FloatingPointError)
+    p = rng.normal(size=shape)
+    p[bad] *= 1e160
+    with np.errstate(over="raise"), pytest.raises(ValueError, match=f"not finite{where}: "):
+        embed_point_cga(p)
+
+
 @pytest.mark.parametrize("name", ["pga", "cga"])
 def test_batched_extract_names_first_point_at_infinity(name, rng):
     alg = get_algebra(name)

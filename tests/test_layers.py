@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gaeq.algebra import get_algebra, grade_project, inner
+from gaeq.algebra import geometric_product, get_algebra, grade_project, inner
 from gaeq.embeddings import (
     PointAtInfinityError,
     embed_point_cga,
@@ -350,6 +350,22 @@ class TestGeometricBilinear:
         direct = bil.proj.apply(MvChannels(cga, y.mv, sx))
         assert np.array_equal(out.mv, direct.mv)
         assert np.array_equal(out.scalars, direct.scalars)
+
+    def test_product_goes_through_module_binding(self, cga, rng, monkeypatch):
+        # the layer calls geometric_product through gaeq.layers' binding, so
+        # a caller that swaps the binding (as perfbench does to sample
+        # products against its oracle) sees every product the layer makes
+        calls = []
+
+        def recording(alg, x, y):
+            calls.append(alg.name)
+            return geometric_product(alg, x, y)
+
+        monkeypatch.setattr("gaeq.layers.geometric_product", recording)
+        bil = GeometricBilinear(cga, "e3", channels=3, rng=rng)
+        x, y = (random_channels(cga, rng, channels=3, scalars=0) for _ in range(2))
+        bil.apply(x, y)
+        assert calls == ["cga"]
 
     def test_join_channel_carries_scalar(self, pga):
         # join(e0123, 1) = 1: with the projection weights pinned to read the

@@ -150,6 +150,14 @@ class TestTokenBatch:
         with pytest.raises(ValueError):
             forward(model, b)
 
+    def test_conformal_overflow_names_input_token(self, rng):
+        # |p|^2 of token 5 overflows in the conformal embedding: the error
+        # names that input token, not the embedded channel it turned into
+        pts = rng.normal(size=(8, 3))
+        pts[5] *= 1e160
+        with pytest.raises(ValueError, match="point is not finite at token 5: "):
+            forward(build_model(ModelConfig("C")), TokenBatch(pts))
+
     def test_vectors_need_second_channel(self, rng):
         model = build_model(ModelConfig("P", mv_channels=1, heads=1))
         b = TokenBatch(rng.normal(size=(2, 3)), vectors=rng.normal(size=(2, 3)))
