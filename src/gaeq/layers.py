@@ -353,6 +353,23 @@ def _grade_forms(alg, mv):
     return (mv * mv) @ w
 
 
+def _root_mean(cfg, q, kind):
+    """sqrt(mean over channels + epsilon) per token.  Raises at the first
+    token where that is not finite, since dividing by it would zero or
+    poison the token: its quadratic form overflowed, or went negative under
+    the plain variant."""
+    form = q.mean(axis=1) + cfg.epsilon
+    denom = np.sqrt(form)
+    if not np.isfinite(denom).all():
+        token = np.flatnonzero(~np.isfinite(denom))[0]
+        why = "overflowed" if not np.isfinite(form[token]) else "is negative"
+        raise ValueError(
+            f"{cfg.variant} norm: the {kind} quadratic form of token {token} {why} "
+            f"(mean plus epsilon {form[token]:.3g}), so its denominator is not finite"
+        )
+    return denom
+
+
 def _norm_denominator(cfg, x):
     alg = x.algebra
     if cfg.variant == "plain":
@@ -361,22 +378,23 @@ def _norm_denominator(cfg, x):
         q = np.abs(inner(alg, x.mv, x.mv))
     else:
         q = np.abs(_grade_forms(alg, x.mv)).sum(axis=-1)
-    return np.sqrt(q.mean(axis=1) + cfg.epsilon)
+    return _root_mean(cfg, q, "multivector")
 
 
 def equi_norm(cfg, x):
     """Per-token division by an invariant magnitude.
 
     Multivector channels share one denominator per token; scalar channels
-    get their own root-mean-square denominator with the same epsilon.
+    get their own root-mean-square denominator with the same epsilon.  A
+    token whose denominator is not finite raises ValueError.
     """
     cfg.check_algebra(x.algebra)
-    denom = _norm_denominator(cfg, x)
-    mv = x.mv / denom[:, None, None]
-    scalars = x.scalars
-    if scalars.shape[1]:
-        s_denom = np.sqrt((scalars**2).mean(axis=1) + cfg.epsilon)
-        scalars = scalars / s_denom[:, None]
+    # _root_mean reports overflowed and negative forms, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        mv = x.mv / _norm_denominator(cfg, x)[:, None, None]
+        scalars = x.scalars
+        if scalars.shape[1]:
+            scalars = scalars / _root_mean(cfg, scalars**2, "scalar")[:, None]
     return MvChannels(x.algebra, mv, scalars)
 
 

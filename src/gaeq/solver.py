@@ -11,10 +11,12 @@ Three cooperating pieces:
   the solved kernels are compared against,
 * a span construction that composes the solved linear maps with the
   product tensors of the algebra (geometric product, optionally the join)
-  over all input permutations, reduces after every composition stage in
-  the coordinates of an orthonormal frame of the slice's rotation-invariant
+  over all input orders, reduces after every composition stage in the
+  coordinates of an orthonormal frame of the slice's rotation-invariant
   subspace, and compares the reachable span against the full multilinear
-  null space, grade slice by grade slice.
+  null space, grade slice by grade slice.  Swapping a product's factors
+  only flips the sign of each output grade, so the orders that start with
+  the first input reach every product tree: (k-1)! of the k! orders.
 
 Solving always works grade slice by grade slice; the full tensor space is
 never materialized.  Every slice is solved in reduced coordinates: its
@@ -911,7 +913,10 @@ class _SpanBuilder:
     floor keep their meaning.  Sequences shorter than a slice are memoized
     in full coordinates, as (n_basis, out_dim, in_dim_1, ..., in_dim_k)
     arrays with orthonormal flattened rows; full-length sequences stay in
-    frame coordinates, where the union over input permutations is taken.
+    frame coordinates, where the union over input orders is taken.  A
+    product's factors commute up to a sign per output grade, so the orders
+    starting with the first input reach every product tree
+    (slice_span_dims).
     The linear blocks and the frames of sorted slices come from the
     per-process caches (_linear_blocks, _slice_frame); the builder holds
     its own dict of the blocks, which it may change without touching the
@@ -1040,15 +1045,25 @@ class _SpanBuilder:
 
     def slice_span_dims(self, inputs):
         """Span dimension per output grade for the given input grades,
-        including all permutations of the inputs.  The union is taken in
-        the coordinates of the sorted slice's frame: a permutation's
+        including all permutations of the inputs.
+
+        Only the (k-1)! orders that start with input 0 are built.  Swapping
+        the factors of a product multiplies each output grade by a sign:
+        <BA>_k = e_r e_s e_k <AB>_k for grades r, s of A, B and
+        e_g = (-1)^(g(g-1)/2), by reversion, and B v A = (-1)^((n-r)(n-s))
+        A v B for the join of n generators.  Every factor's span is kept
+        grade by grade, so a swap at any product node leaves every span
+        unchanged, and swapping children along the path to input 0 turns
+        any product tree into one with input 0 leftmost.  The union is
+        taken in the coordinates of the sorted slice's frame: an order's
         coordinates already are when its frame is the one its sequence was
         reduced in, and are lifted and projected again when it exchanges
         equal grades."""
         inputs = tuple(inputs)
         order = _sorting_perm(inputs)
         spans, rows = {}, {}
-        for perm in itertools.permutations(range(len(inputs))):
+        for rest in itertools.permutations(range(1, len(inputs))):
+            perm = (0,) + rest
             seq = tuple(inputs[p] for p in perm)
             if seq not in spans:
                 spans[seq] = self.reduced(seq)
@@ -1080,7 +1095,7 @@ class SpanReport:
 
     Slices are reported for non-decreasing input grades only: permuting the
     inputs of a slice is a change of basis that preserves both dimensions,
-    and the span construction already includes all input permutations.
+    and the span construction already reaches every input order.
     """
 
     l: int

@@ -38,6 +38,16 @@ def verify_l2_reports():
         return verify_conjecture(l_max=2)
 
 
+@pytest.fixture(scope="session")
+def verify_l3_long_reports():
+    """verify_conjecture(l_max=3, long=True), computed once for the
+    session, with RankAmbiguityWarning as an error.  Tests only read the
+    reports."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankAmbiguityWarning)
+        return verify_conjecture(l_max=3, long=True)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

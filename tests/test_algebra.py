@@ -253,6 +253,36 @@ def test_conformal_product_of_blades_is_exact(cga):
     assert np.array_equal(geometric_product(cga, eye[:, None], eye[None]), cga.gp_tensor)
 
 
+def grade_homogeneous_pairs(alg, rng):
+    """(r, s, A, B) for every grade pair: A of grade r and B of grade s with
+    small integer coefficients, so that their products are exact."""
+    for r in range(alg.n + 1):
+        for s in range(alg.n + 1):
+            a, b = np.zeros(alg.size), np.zeros(alg.size)
+            a[alg.grade_indices(r)] = rng.integers(-3, 4, len(alg.grade_indices(r)))
+            b[alg.grade_indices(s)] = rng.integers(-3, 4, len(alg.grade_indices(s)))
+            yield r, s, a, b
+
+
+def test_swapped_product_flips_each_grade_by_the_reversion_signs(any_algebra, rng):
+    # <BA>_k = e_r e_s e_k <AB>_k with e_g = (-1)^(g(g-1)/2): reverse AB
+    alg = any_algebra
+    eps = [(-1) ** (g * (g - 1) // 2) for g in range(alg.n + 1)]
+    for r, s, a, b in grade_homogeneous_pairs(alg, rng):
+        ab, ba = geometric_product(alg, a, b), geometric_product(alg, b, a)
+        for k in range(alg.n + 1):
+            want = eps[r] * eps[s] * eps[k] * grade_project(alg, ab, k)
+            assert np.array_equal(grade_project(alg, ba, k), want), (r, s, k)
+
+
+def test_swapped_join_flips_by_the_complement_grades(pga, rng):
+    # B v A = (-1)^((n-r)(n-s)) A v B: the wedge of the complements
+    n = pga.n
+    for r, s, a, b in grade_homogeneous_pairs(pga, rng):
+        want = (-1) ** ((n - r) * (n - s)) * join(pga, a, b)
+        assert np.array_equal(join(pga, b, a), want), (r, s)
+
+
 def test_product_associative_on_blades(any_algebra):
     alg = any_algebra
     t = alg.gp_tensor

@@ -459,6 +459,23 @@ class TestNorm:
         rms = np.sqrt((y.scalars**2).mean(axis=1))
         assert np.abs(rms - 1.0).max() < 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_plain_form_names_the_token(self, cga):
+        # e- squares to -1: token 1's signed form is -4 + epsilon
+        mv = np.zeros((3, 1, cga.size))
+        mv[1, 0, cga.blade_index("e-")] = 2.0
+        x = MvChannels(cga, mv)
+        with pytest.raises(ValueError, match="token 1 is negative"):
+            equi_norm(NormConfig("plain", 0.01, allow_unstable=True), x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scalar_overflow_names_the_token(self, ega, rng):
+        scalars = rng.normal(size=(4, 3))
+        scalars[2, 1] = 1e200
+        x = MvChannels(ega, np.zeros((4, 1, ega.size)), scalars)
+        with pytest.raises(ValueError, match="scalar quadratic form of token 2 overflowed"):
+            equi_norm(NormConfig("plain", 1e-6), x)
+
     def test_plain_blows_up_on_null_point(self, cga):
         # a conformal point is null, so the signed quadratic form vanishes and
         # each pass divides by sqrt(eps): growth rate 1/sqrt(eps) per step

@@ -35,6 +35,7 @@ from gaeq.solver import (
     _slice_frame,
     _slice_null_dim,
     _so3_invariants,
+    _sorting_perm,
     _spot_check_generic_generator,
     _spot_check_residual,
     _tz_blocks,
@@ -908,14 +909,58 @@ def test_span_cases_share_the_cached_solves():
     # every sorted arity-2 slice is solved once: 40 ega, 126 cga and 75 pga
     # null dimensions, the 75 pga ones reused by pga with the join.  Every
     # frame is built once: the 241 sorted arity-2 slices and the 77 arity-1
-    # blocks, each read again by the span builder and the null solves
+    # blocks, each read again by the span builder and the null solves.  The
+    # builder reads one input order per arity-2 slice, the sorted one
     clear_span_caches()
     verify_conjecture(l_max=2)
     nulls, blocks = _slice_null_dim.cache_info(), _linear_blocks.cache_info()
     frames = _slice_frame.cache_info()
     assert (nulls.misses, nulls.hits) == (241, 75)
     assert (blocks.misses, blocks.hits) == (3, 1)
-    assert (frames.misses, frames.hits) == (318, 592)
+    assert (frames.misses, frames.hits) == (318, 302)
+
+
+def all_orders_span_dims(builder, inputs):
+    """builder.slice_span_dims(inputs) as the union over all k! input
+    orders: the reference for the (k-1)! orders that start with input 0."""
+    order = _sorting_perm(inputs)
+    spans, rows = {}, {}
+    for perm in itertools.permutations(range(len(inputs))):
+        seq = tuple(inputs[p] for p in perm)
+        if seq not in spans:
+            spans[seq] = builder.reduced(seq)
+        want = tuple(order[p] for p in perm)
+        for go, (frame, coords) in spans[seq].items():
+            if frame.perm != want:
+                coords = builder._frame(go, seq, want).project(frame.lift(coords))
+            rows.setdefault(go, []).append(coords)
+    return {go: builder._reduce(r).shape[0] for go, r in rows.items()}
+
+
+def multisets(name, arity):
+    grades = range(get_algebra(name).n + 1)
+    return list(itertools.combinations_with_replacement(grades, arity))
+
+
+@pytest.mark.parametrize(
+    "name, with_join, slices",
+    [
+        ("ega", False, multisets("ega", 2)),
+        ("cga", False, multisets("cga", 2)),
+        ("pga", False, multisets("pga", 2)),
+        ("pga", True, multisets("pga", 2)),
+        ("ega", False, multisets("ega", 3)),
+        ("pga", True, multisets("pga", 3)),
+        # repeated grades: some orders are lifted and projected into the
+        # sorted slice's frame
+        ("cga", False, [(1, 1, 2), (1, 2, 3), (2, 2, 2)]),
+    ],
+    ids=["ega-2", "cga-2", "pga-2", "pga-join-2", "ega-3", "pga-join-3", "cga-3"],
+)
+def test_orders_from_the_first_input_span_all_orders(name, with_join, slices):
+    builder = _SpanBuilder(get_algebra(name), "se3", with_join)
+    for ms in slices:
+        assert builder.slice_span_dims(ms) == all_orders_span_dims(builder, ms), ms
 
 
 @pytest.mark.parametrize("group, dim", [("e3", 16), ("se3", 30)])

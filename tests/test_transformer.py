@@ -158,6 +158,17 @@ class TestTokenBatch:
         with pytest.raises(ValueError, match="point is not finite at token 5: "):
             forward(build_model(ModelConfig("C")), TokenBatch(pts))
 
+    @pytest.mark.parametrize("variant", ["E", "P", "iP"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_point_overflow_fails_at_the_first_norm(self, variant, rng):
+        # the embeddings are linear, so token 3's quadratic form overflows
+        # in the first norm; E would otherwise divide the token down to zero
+        pts = rng.normal(size=(8, 3))
+        pts[3] *= 1e160
+        b = TokenBatch(pts, center=np.zeros(3) if variant == "E" else None)
+        with pytest.raises(ValueError, match="multivector quadratic form of token 3 overflowed"):
+            forward(build_model(ModelConfig(variant)), b)
+
     def test_vectors_need_second_channel(self, rng):
         model = build_model(ModelConfig("P", mv_channels=1, heads=1))
         b = TokenBatch(rng.normal(size=(2, 3)), vectors=rng.normal(size=(2, 3)))

@@ -3,11 +3,10 @@
 tests/golden/verify_l2_se3.json holds the four verify_conjecture(l_max=2)
 reports (ega, cga, pga, pga with the join; all se3), one SliceEntry per
 line; tests/golden/verify_l3_long_se3.json holds the eight reports of
-verify_conjecture(l_max=3, long=True) the same way, and is compared only
-with GAEQ_LONG=1, since it runs the long arities; so is
-tests/golden/verify_l4_long_se3.json, the arity-4 reports of ega, pga and
-pga with the join from algebra_span_dim(..., 4).
-Those reports are all se3, so
+verify_conjecture(l_max=3, long=True) the same way, and
+tests/golden/verify_l4_long_se3.json the arity-4 reports of ega, pga and
+pga with the join from algebra_span_dim(..., 4).  All of them are compared
+on every run.  Those reports are all se3, so
 tests/golden/null_dims_e3.json pins the e3 null-space dimension of every
 sorted slice of arity 1 to 3 of the three algebras (909 slices, at most
 10 000 entries each), one slice per line.  Every solver change has to
@@ -21,7 +20,6 @@ Regenerate (only when the reported dimensions are meant to change) with
 
 import itertools
 import json
-import os
 import pathlib
 import sys
 
@@ -86,18 +84,11 @@ def test_e3_null_dims_match_golden():
     assert render_e3_null_dims() == GOLDEN_E3.read_text()
 
 
-@pytest.mark.skipif(
-    os.environ.get("GAEQ_LONG") != "1", reason="long arities; set GAEQ_LONG=1"
-)
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
-def test_verify_l3_long_report_matches_golden():
-    got = render(verify_conjecture(l_max=3, long=True))
-    assert got == GOLDEN_L3.read_text()
+def test_verify_l3_long_report_matches_golden(verify_l3_long_reports):
+    assert render(verify_l3_long_reports) == GOLDEN_L3.read_text()
 
 
-@pytest.mark.skipif(
-    os.environ.get("GAEQ_LONG") != "1", reason="long arities; set GAEQ_LONG=1"
-)
 @pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
 def test_l4_long_report_matches_golden():
     assert render(l4_reports()) == GOLDEN_L4.read_text()
