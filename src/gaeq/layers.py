@@ -293,11 +293,10 @@ class GeometricBilinear:
     def apply(self, x, y):
         if x.channels != self.channels or y.channels != self.channels:
             raise ValueError(f"expected {self.channels} channels")
-        parts = [geometric_product(self.algebra, x.mv, y.mv)]
+        prod = geometric_product(self.algebra, x.mv, y.mv)
         if self.use_join:
-            parts.append(join(self.algebra, x.mv, y.mv))
-        prod = MvChannels(self.algebra, np.concatenate(parts, axis=1), x.scalars)
-        return self.proj.apply(prod)
+            prod = np.concatenate([prod, join(self.algebra, x.mv, y.mv)], axis=1)
+        return self.proj.apply(MvChannels(self.algebra, prod, x.scalars))
 
     def state(self):
         return self.proj.state()

@@ -44,10 +44,22 @@ flattened map exceeds DEFAULT_ENTRY_CAP raise SliceTooLargeError.
 
 What depends only on the algebra, the group and the slice is built once
 per process and shared, read-only: each slice's frame Q (_slice_frame),
-the linear blocks (_linear_blocks) and each sorted slice's null dimension
-(_slice_null_dim).  A check with more products, the projective algebra
-with the join, reuses those of the check without.  Standalone
-solve_multilinear_dim calls keep their slice's frame, not their dimension.
+the linear blocks (_linear_blocks) and each null dimension
+(_slice_null_dim).  Two symmetries make most slices repeat a solved one.
+Every axis of a slice transforms alike under rotations and the mirror, so
+its invariant subspace does not depend on the order of its k+1 axes: the
+span builder takes the frame of any output and input order from the frame
+of the sorted multiset of its grades, axes permuted (_permuted_frame).
+Every grade carries a non-degenerate pairing that the group preserves, so
+a slice's null dimension depends only on the multiset of its output grade
+and its inputs' dual grades, and algebra_span_dim solves one slice per
+such duality orbit (_orbit_slice).  An output grade that one input order
+alone reaches, every one at arity 2, takes its span dimension from that
+order's orthonormal block without another SVD.  A check with more
+products, the projective algebra with the join, reuses the frames and
+dimensions of the check without.  Standalone solve_multilinear_dim calls
+solve their own slice on its directly built frame, and keep the frame,
+not their dimension.
 """
 
 import functools
@@ -633,9 +645,10 @@ class _Frame:
     its nonzero entries (flat index, column, value) sorted by column, with
     starts, the first entry of each column, never as a dense (entries x
     columns) array: rows @ Q is a gather and a per-column sum, and
-    coordinates @ Q^T a scatter.  perm[j] is the built slice's input axis
-    behind input axis j of this frame's slice: the span builder's frames of
-    unsorted sequences permute the sorted slice's entry indices.
+    coordinates @ Q^T a scatter.  perm[a] is the built slice's axis behind
+    axis a of this frame's slice, the output axis 0 first: the span
+    builder's frames permute the entry indices of the frame built on the
+    sorted grades of output and inputs together (_permuted_frame).
     """
 
     def __init__(self, name, grades, dims, perm, flat, col, val, cols, starts):
@@ -645,16 +658,18 @@ class _Frame:
         self.starts = starts
 
     def permuted(self, perm):
-        """The frame of this built slice with input axis j taken from its
-        input axis perm[j]."""
+        """The frame of this built slice with axis a, the output axis 0
+        first, taken from its axis perm[a].  Every axis transforms alike
+        under rotations and the mirror (_slice_frame), so the entries keep
+        their columns, values and mirror parities."""
         perm = tuple(perm)
         if perm == self.perm:
             return self
         index = np.unravel_index(self.flat, self.dims)
-        axes = (0,) + tuple(1 + p for p in perm)
-        dims = tuple(self.dims[a] for a in axes)
-        flat = np.ravel_multi_index([index[a] for a in axes], dims)
-        grades = tuple(self.grades[a] for a in axes)
+        dims = tuple(self.dims[a] for a in perm)
+        flat = np.ravel_multi_index([index[a] for a in perm], dims)
+        flat.flags.writeable = False
+        grades = tuple(self.grades[a] for a in perm)
         entries = flat, self.col, self.val, self.cols
         return _Frame(self.name, grades, dims, perm, *entries, self.starts)
 
@@ -700,13 +715,23 @@ def _slice_frame(alg, output, inputs):
     one orthonormal invariant tensor (_invariant_nonzeros) on its spin-1
     axes is a column, the invariant contracted with the pieces; every piece
     column is one signed blade, so each nonzero of the invariant is one
-    entry of the column.  Rotation blocks are antisymmetric, so the input
-    axes transform like the output axis.  The columns are in order, one
-    block per choice of piece widths, tensor-major within it.  Columns with
-    different piece choices share no entry, and those with the same one
-    have the Gram matrix of their tensors, the identity: Q is the
-    Gram-Schmidt of the integer basis B that the integer tensors would
-    give, Q = B L^-T, column for column."""
+    entry of the column.  The columns are in order, one block per choice of
+    piece widths, tensor-major within it.  Columns with different piece
+    choices share no entry, and those with the same one have the Gram
+    matrix of their tensors, the identity: Q is the Gram-Schmidt of the
+    integer basis B that the integer tensors would give, Q = B L^-T, column
+    for column.
+
+    Rotation blocks are antisymmetric and the mirror is a diagonal of
+    signs, so the input axes transform like the output axis: the frame of
+    any order of the same k+1 grades, the output among them, is this frame
+    with its axes permuted, entries and mirror parities kept
+    (_Frame.permuted), and the span builder builds one frame per sorted
+    grade multiset (_permuted_frame).  The null dimension is shared more
+    widely, by every slice of a duality orbit (_orbit_slice), so the span
+    check of one arity solves one slice per orbit; an output grade that one
+    input order alone reaches takes its span dimension from that order's
+    orthonormal block, with no SVD (_SpanBuilder.slice_span_dims)."""
     grades = (output,) + inputs
     tables = [_blade_tables(alg)[g] for g in grades]
     dims = tuple(len(alg.grade_indices(g)) for g in grades)
@@ -730,8 +755,18 @@ def _slice_frame(alg, output, inputs):
     starts = np.flatnonzero(np.diff(col, prepend=-1))
     for a in (flat, col, val, starts):
         a.flags.writeable = False
-    perm = tuple(range(len(inputs)))
+    perm = tuple(range(len(grades)))
     return _Frame(alg.name, grades, dims, perm, flat, col, val, cols, starts)
+
+
+@functools.lru_cache(maxsize=None)
+def _permuted_frame(alg, grades, perm):
+    """The frame of the slice whose axis a, the output axis 0 first, has
+    grade grades[perm[a]], for sorted grades: the frame built on them
+    (_slice_frame) with its axes permuted, cached so that every span
+    builder of the process, the join case's among them, reads the same
+    arrays."""
+    return _slice_frame(alg, grades[0], grades[1:]).permuted(perm)
 
 
 @functools.lru_cache(maxsize=None)
@@ -917,8 +952,9 @@ class _SpanBuilder:
     product's factors commute up to a sign per output grade, so the orders
     starting with the first input reach every product tree
     (slice_span_dims).
-    The linear blocks and the frames of sorted slices come from the
-    per-process caches (_linear_blocks, _slice_frame); the builder holds
+    The linear blocks and the frames, one per sorted multiset of a slice's
+    grades with its axes permuted into each slice's order, come from the
+    per-process caches (_linear_blocks, _permuted_frame); the builder holds
     its own dict of the blocks, which it may change without touching the
     cached one.
     """
@@ -950,11 +986,17 @@ class _SpanBuilder:
         self.memo = {}
 
     def _frame(self, go, seq, perm=None):
-        """The frame of the slice seq -> go, from its sorted slice's frame
-        with the input axes permuted by perm (default: seq's sorting
-        permutation)."""
-        base = _slice_frame(self.alg, go, tuple(sorted(seq)))
-        return base.permuted(_sorting_perm(seq) if perm is None else perm)
+        """The frame of the slice seq -> go: the frame of the sorted
+        multiset of all its grades, output included, with its axes permuted
+        by perm, the output axis first (default: the sorting permutation of
+        (go, *seq)).  The slice's invariant subspace does not depend on the
+        order of its axes (_slice_frame), so the orders of one multiset, and
+        the output grades that complete it, share one built frame; the null
+        solve of a duality orbit's sorted representative reads the same
+        frame (_orbit_slice, _slice_null_dim)."""
+        grades = (go,) + seq
+        perm = _sorting_perm(grades) if perm is None else perm
+        return _permuted_frame(self.alg, tuple(sorted(grades)), perm)
 
     def _reduce(self, rows):
         return _reduce_rows(np.vstack(rows), abs_tol=_SPAN_FLOOR)
@@ -1055,24 +1097,32 @@ class _SpanBuilder:
         grade by grade, so a swap at any product node leaves every span
         unchanged, and swapping children along the path to input 0 turns
         any product tree into one with input 0 leftmost.  The union is
-        taken in the coordinates of the sorted slice's frame: an order's
-        coordinates already are when its frame is the one its sequence was
-        reduced in, and are lifted and projected again when it exchanges
-        equal grades."""
+        taken in the coordinates of the frame of inputs -> go, the sorted
+        multiset's frame with its axes in the order of (go, *inputs): an
+        order's coordinates already are when its frame is the one its
+        sequence was reduced in, and are lifted and projected again when it
+        exchanges equal grades.  An output grade that one order alone
+        reaches, every output at arity 2, keeps the row count of that
+        order's block, orthonormal already, without another SVD.  The null
+        side is not taken here: algebra_span_dim reads it per duality
+        orbit (_orbit_slice)."""
         inputs = tuple(inputs)
-        order = _sorting_perm(inputs)
         spans, rows = {}, {}
         for rest in itertools.permutations(range(1, len(inputs))):
             perm = (0,) + rest
             seq = tuple(inputs[p] for p in perm)
             if seq not in spans:
                 spans[seq] = self.reduced(seq)
-            want = tuple(order[p] for p in perm)
             for go, (frame, coords) in spans[seq].items():
+                order = _sorting_perm((go,) + inputs)
+                want = (order[0],) + tuple(order[1 + p] for p in perm)
                 if frame.perm != want:
                     coords = self._frame(go, seq, want).project(frame.lift(coords))
                 rows.setdefault(go, []).append(coords)
-        return {go: self._reduce(r).shape[0] for go, r in rows.items()}
+        return {
+            go: len(r[0]) if len(r) == 1 else self._reduce(r).shape[0]
+            for go, r in rows.items()
+        }
 
 
 @dataclass
@@ -1121,17 +1171,43 @@ class SpanReport:
 
 @functools.lru_cache(maxsize=None)
 def _slice_null_dim(alg, group, output, inputs):
-    """The null dimension of the sorted slice inputs -> output, solved once
-    per process: it does not depend on the products that build the span."""
+    """The null dimension of the slice inputs -> output, solved once per
+    process: it does not depend on the products that build the span.
+    algebra_span_dim asks it for duality-orbit representatives only
+    (_orbit_slice), so each orbit is solved once, and where the orbit has a
+    sorted representative, output grade first, its frame is the one the
+    span builder built on that grade multiset: the order of a slice's axes
+    does not change its invariant subspace (_slice_frame)."""
     return solve_multilinear_dim(alg, group, GradeSlice(inputs, output))
+
+
+def _orbit_slice(alg, output, inputs):
+    """(output, inputs) of the representative of the slice's duality orbit.
+
+    Every grade carries a non-degenerate pairing that the group preserves:
+    the inner product on ega and cga, so V_g* = V_g, and on pga, whose
+    inner product is degenerate, the e0123 coefficient of the product of
+    grades g and n - g, so V_g* = V_(n-g) up to the mirror's sign, the same
+    for every slice of one arity.  The equivariant maps inputs -> output
+    are the invariants of V_out (x) V_in1* (x) ... (x) V_ink*, so their
+    dimension depends only on the multiset of the output grade and the
+    inputs' dual grades.  The representative is a sorted slice, output
+    grade at most its first input, where the multiset has one: its frame
+    is the sorted multiset frame the span builder reads (_permuted_frame).
+    Otherwise it is the slice on the multiset's smallest grade."""
+    dual = (lambda g: alg.n - g) if alg.degenerate else (lambda g: g)
+    key = sorted((output,) + tuple(map(dual, inputs)))
+    reps = [(g, tuple(sorted(map(dual, key[:i] + key[i + 1 :])))) for i, g in enumerate(key)]
+    return next((rep for rep in reps if rep[0] <= rep[1][0]), reps[0])
 
 
 def algebra_span_dim(algebra, l, with_join=False, group="se3"):
     """Span-versus-nullspace report for all grade slices of arity l.  Each
-    slice's null space is solved on the frame its span was reduced in, once
-    per process (_slice_null_dim): a second check of the same algebra and
-    group, such as the projective one with the join, reuses the dimensions
-    of the first."""
+    slice's null dimension is that of its duality orbit's representative
+    (_orbit_slice), solved once per process (_slice_null_dim), on the frame
+    the span builder holds where the orbit has a sorted representative: a
+    second check of the same algebra and group, such as the projective one
+    with the join, reuses the dimensions of the first."""
     alg = _algebra(algebra)
     _check_group(group)
     if l not in (2, 3, 4):
@@ -1145,7 +1221,7 @@ def algebra_span_dim(algebra, l, with_join=False, group="se3"):
     for ms in itertools.combinations_with_replacement(range(alg.n + 1), l):
         span_dims = builder.slice_span_dims(ms)
         for o in range(alg.n + 1):
-            dim = _slice_null_dim(alg, group, o, ms)
+            dim = _slice_null_dim(alg, group, *_orbit_slice(alg, o, ms))
             entries.append(SliceEntry(ms, o, span_dims.get(o, 0), nullspace_dim=dim))
     return SpanReport(
         l=l,

@@ -31,6 +31,8 @@ from gaeq.solver import (
     _linear_blocks,
     _linear_slice_svds,
     _mirror_even,
+    _orbit_slice,
+    _permuted_frame,
     _reduced_stacks,
     _slice_frame,
     _slice_null_dim,
@@ -802,7 +804,7 @@ def test_null_solve_on_frame_entries_matches_the_integer_basis(
         b = b.reshape(-1, cols)
         col, flat = np.nonzero(b.T)
         starts = np.flatnonzero(np.diff(col, prepend=-1))
-        perm = tuple(range(len(inputs)))
+        perm = tuple(range(len(grades)))
         entries = flat, col, b[flat, col], cols, starts
         return _Frame(alg.name, grades, dims, perm, *entries)
 
@@ -815,16 +817,27 @@ def test_null_solve_on_frame_entries_matches_the_integer_basis(
     [("pga", (1, 2), 2), ("cga", (1, 3), 2), ("cga", (2, 2), 2)] + ARITY3_FRAMES,
 )
 def test_permuted_frame_has_the_projector_of_a_direct_frame(name, inputs, output):
-    # equal projectors: the direct frame's coordinates of the permuted frame
-    # form an orthogonal matrix
+    # every order of the k+1 axes, the output axis moved too: the permuted
+    # frame is orthonormal, has equal projectors with the frame built
+    # directly on that order (the direct frame's coordinates of the permuted
+    # one form an orthogonal matrix), and each column keeps its mirror
+    # parity, read from the permuted entries
     alg = get_algebra(name)
     base = _slice_frame(alg, output, inputs)
-    for perm in itertools.permutations(range(len(inputs))):
-        got = dense_frame(base.permuted(perm))
-        want = dense_frame(_slice_frame(alg, output, tuple(inputs[p] for p in perm)))
+    grades = (output,) + inputs
+    even = _mirror_even(alg, grades, np.unravel_index(base.flat, base.dims), base.col, base.cols)
+    for perm in itertools.permutations(range(len(grades))):
+        frame = base.permuted(perm)
+        order = tuple(grades[p] for p in perm)
+        assert frame.perm == perm and frame.grades == order
+        got = dense_frame(frame)
+        assert np.abs(got.T @ got - np.eye(frame.cols)).max(initial=0.0) <= 1e-14
+        want = dense_frame(_slice_frame(alg, order[0], order[1:]))
         assert got.shape == want.shape
         m = want.T @ got
         assert np.abs(m @ m.T - np.eye(len(m))).max(initial=0.0) <= 1e-12
+        index = np.unravel_index(frame.flat, frame.dims)
+        assert np.array_equal(_mirror_even(alg, order, index, frame.col, frame.cols), even)
 
 
 @pytest.mark.parametrize(
@@ -900,37 +913,80 @@ def clear_span_caches():
     # every per-process cache of the solver, so that a cache added later is
     # cleared too and the cold-cache tests below stay cold
     caches = {name: f for name, f in vars(solver).items() if hasattr(f, "cache_clear")}
-    assert {"_slice_frame", "_slice_null_dim", "_linear_blocks"} <= caches.keys()
+    assert {"_slice_frame", "_permuted_frame", "_slice_null_dim", "_linear_blocks"} <= caches.keys()
     for cache in caches.values():
         cache.cache_clear()
 
 
 def test_span_cases_share_the_cached_solves():
-    # every sorted arity-2 slice is solved once: 40 ega, 126 cga and 75 pga
-    # null dimensions, the 75 pga ones reused by pga with the join.  Every
-    # frame is built once: the 241 sorted arity-2 slices and the 77 arity-1
-    # blocks, each read again by the span builder and the null solves.  The
-    # builder reads one input order per arity-2 slice, the sorted one
+    # every duality orbit of the arity-2 slices is solved once: 20 ega, 56
+    # cga and 35 pga null dimensions, each read by the 316 slices of the four
+    # cases, the pga ones by pga with the join too.  Every frame is built
+    # once: the 77 arity-1 blocks, the 111 sorted three-grade multisets
+    # (output and inputs together) of the span builder and the null solves,
+    # and the 13 pga orbit representatives that no sorted slice has.  The
+    # builder reads one input order per arity-2 slice, the sorted one, from
+    # 227 permuted multiset frames, which the join case reads again
     clear_span_caches()
     verify_conjecture(l_max=2)
     nulls, blocks = _slice_null_dim.cache_info(), _linear_blocks.cache_info()
-    frames = _slice_frame.cache_info()
-    assert (nulls.misses, nulls.hits) == (241, 75)
+    frames, permuted = _slice_frame.cache_info(), _permuted_frame.cache_info()
+    assert (nulls.misses, nulls.hits) == (111, 205)
     assert (blocks.misses, blocks.hits) == (3, 1)
-    assert (frames.misses, frames.hits) == (318, 302)
+    assert (frames.misses, frames.hits) == (201, 214)
+    assert (permuted.misses, permuted.hits) == (227, 75)
+
+
+@pytest.mark.filterwarnings("error::gaeq.solver.RankAmbiguityWarning")
+@pytest.mark.parametrize("group", ["e3", "se3"])
+@pytest.mark.parametrize(
+    "name, arity",
+    [(name, arity) for arity in (1, 2) for name in ("ega", "pga", "cga")]
+    + [("ega", 3), ("pga", 3)],
+)
+def test_duality_orbits_share_the_null_dim(name, arity, group):
+    # every slice, inputs in any order, solved directly on its own frame,
+    # against the null dimension of its duality orbit's representative
+    # (_orbit_slice) and, from arity 2 on, against the one algebra_span_dim
+    # reports for its sorted inputs
+    alg = get_algebra(name)
+    reported = {}
+    if arity > 1:
+        report = algebra_span_dim(alg, arity, group=group)
+        reported = {(e.inputs, e.output): e.nullspace_dim for e in report.slices}
+    grades = range(alg.n + 1)
+    for ins in itertools.product(grades, repeat=arity):
+        for out in grades:
+            want = solve_multilinear_dim(alg, group, GradeSlice(ins, out))
+            rep = _orbit_slice(alg, out, ins)
+            assert _slice_null_dim(alg, group, *rep) == want, (ins, out, rep)
+            assert reported.get((tuple(sorted(ins)), out), want) == want, (ins, out)
+
+
+def test_orbit_representatives(ega, pga, cga):
+    # ega and cga pair each grade with itself: the representative is the
+    # sorted multiset of all the slice's grades, output first
+    assert _orbit_slice(ega, 0, (2, 1)) == (0, (1, 2))
+    assert _orbit_slice(cga, 4, (3, 5)) == (3, (4, 5))
+    # pga pairs grade g with 4 - g: (1, 3) -> 2 has the multiset {2, 3, 1}
+    # and its sorted representative (1, (1, 2)) -> {1, 3, 2}
+    assert _orbit_slice(pga, 2, (1, 3)) == (1, (1, 2))
+    # {3, 3, 3} has no sorted representative: the slice on its smallest grade
+    assert _orbit_slice(pga, 3, (1, 1)) == (3, (1, 1))
+    assert _orbit_slice(pga, 4, (4, 0, 1)) == (0, (0, 0, 1))
 
 
 def all_orders_span_dims(builder, inputs):
     """builder.slice_span_dims(inputs) as the union over all k! input
     orders: the reference for the (k-1)! orders that start with input 0."""
-    order = _sorting_perm(inputs)
     spans, rows = {}, {}
     for perm in itertools.permutations(range(len(inputs))):
         seq = tuple(inputs[p] for p in perm)
         if seq not in spans:
             spans[seq] = builder.reduced(seq)
-        want = tuple(order[p] for p in perm)
         for go, (frame, coords) in spans[seq].items():
+            order = _sorting_perm((go,) + inputs)
+            want = (order[0],) + tuple(order[1 + p] for p in perm)
             if frame.perm != want:
                 coords = builder._frame(go, seq, want).project(frame.lift(coords))
             rows.setdefault(go, []).append(coords)
